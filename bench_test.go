@@ -12,6 +12,7 @@ package skynet
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -24,6 +25,7 @@ import (
 	"skynet/internal/hierarchy"
 	"skynet/internal/incident"
 	"skynet/internal/locator"
+	"skynet/internal/microbench"
 	"skynet/internal/monitors"
 	"skynet/internal/netsim"
 	"skynet/internal/preprocess"
@@ -115,6 +117,15 @@ func BenchmarkLocatorAddCheck(b *testing.B) {
 		loc.Check(benchEpoch.Add(time.Minute))
 	}
 	b.ReportMetric(float64(len(alerts)), "alerts/op")
+}
+
+// BenchmarkLocatorWideCheck measures one tick (64 re-observations plus
+// Check) against N concurrent device-level incidents — locating time vs
+// concurrent incidents, the axis Figure 8c lacks.
+func BenchmarkLocatorWideCheck(b *testing.B) {
+	for _, n := range []int{250, 1000, 4000} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) { microbench.LocatorWideCheck(b, n) })
+	}
 }
 
 // BenchmarkPreprocessorStream measures the §4.1 stream stage on a raw

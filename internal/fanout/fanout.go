@@ -132,7 +132,9 @@ type Frame struct {
 
 // Seq returns the frame's ring sequence number. For a snapshot frame it
 // is the "as-of" sequence: the last ring frame folded into the snapshot,
-// so resuming with Last-Event-ID = Seq continues exactly after it.
+// so resuming with Last-Event-ID = Seq continues exactly after it. A
+// resync notice carries the seq of the frame it precedes, so Seq is
+// non-decreasing across everything one subscriber is handed.
 func (f *Frame) Seq() uint64 { return f.seq }
 
 // Kind returns the frame's accounting kind.

@@ -249,6 +249,75 @@ func TestLaggardResyncWithDropAccounting(t *testing.T) {
 	}
 }
 
+// TestResyncSeqNeverMovesBackwards laps a subscriber while the snapshot
+// is still in range and checks Frame.Seq across the resync: the id-less
+// notice carries the seq of the snapshot it precedes, so the sequence a
+// consumer observes is non-decreasing — through the resync itself, and
+// through an SSE reconnect by a client that read the notice but dropped
+// before the snapshot (its Last-Event-ID is still the pre-lap position).
+func TestResyncSeqNeverMovesBackwards(t *testing.T) {
+	h := NewHub(Config{Ring: 4, EvictAfter: 1 << 20})
+	defer h.Close()
+	h.PublishTick(testSnap(1), testDelta(1))
+	sub, _ := h.Subscribe(SubscribeOptions{Cursor: -1})
+
+	var last uint64
+	observe := func(step string, frames []*Frame) {
+		t.Helper()
+		for _, f := range frames {
+			if f.Seq() < last {
+				t.Fatalf("%s: %v frame seq %d after %d", step, f.Kind(), f.Seq(), last)
+			}
+			last = f.Seq()
+		}
+	}
+	frames, _, err := sub.Poll()
+	if err != nil || len(frames) == 0 {
+		t.Fatalf("initial poll: %d frames, err %v", len(frames), err)
+	}
+	observe("initial", frames)
+	lastEventID := int64(last)
+	sub.ReleaseAll(frames)
+
+	for tick := uint64(2); tick <= 5; tick++ {
+		h.PublishTick(testSnap(tick), testDelta(tick))
+		h.Publish(EventIncident, map[string]any{"tick": tick})
+	}
+	frames, _, err = sub.Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) < 2 || frames[0].Kind() != KindResync || frames[1].Kind() != KindSnapshot {
+		t.Fatalf("lapped poll did not resync from the snapshot: %d frames", len(frames))
+	}
+	if frames[0].Seq() != frames[1].Seq() {
+		t.Fatalf("notice seq %d, snapshot it precedes %d", frames[0].Seq(), frames[1].Seq())
+	}
+	if bytes.Contains(frames[0].Bytes(), []byte("id: ")) {
+		t.Fatalf("resync notice must stay id-less: %q", frames[0].Bytes())
+	}
+	// The dropping client consumed only the notice.
+	observe("notice", frames[:1])
+	sub.ReleaseAll(frames)
+	sub.Close()
+
+	h.PublishTick(testSnap(6), testDelta(6))
+	resumed, err := h.Subscribe(SubscribeOptions{Cursor: lastEventID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	frames, _, err = resumed.Poll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) < 2 || frames[0].Kind() != KindResync || frames[1].Kind() != KindSnapshot {
+		t.Fatalf("resume from a lapped Last-Event-ID did not resync: %d frames", len(frames))
+	}
+	observe("resume", frames)
+	resumed.ReleaseAll(frames)
+}
+
 func TestNeverPollingSubscriberIsEvicted(t *testing.T) {
 	h := NewHub(Config{Ring: 4, EvictAfter: 2})
 	defer h.Close()

@@ -167,8 +167,13 @@ func (s *Subscriber) Poll() ([]*Frame, <-chan struct{}, error) {
 		h.resyncs.Add(1)
 		s.seen = cumT
 		cursor = target
-		out = append(out, h.makeResyncFrame(target, skipped, &byKind, unknown))
+		notice := h.makeResyncFrame(target, skipped, &byKind, unknown)
+		out = append(out, notice)
 		if useSnap {
+			// A notice carries the seq of the frame it precedes, so Seq
+			// never moves backwards across a resync: the snapshot's as-of
+			// point here, the ring frame at target (resume_seq) otherwise.
+			notice.seq = snap.seq
 			snap.retain()
 			out = append(out, snap)
 			s.needSnapshot = false

@@ -181,7 +181,7 @@ func (in *Incident) bumpTimes(a *alert.Alert) {
 // Merge absorbs all entries of another incident.
 func (in *Incident) Merge(other *Incident) {
 	for i := range other.slab {
-		in.Add(other.slab[i].Alert)
+		in.AddRef(&other.slab[i].Alert)
 	}
 	in.MergedFrom = append(in.MergedFrom, other.ID)
 	in.MergedFrom = append(in.MergedFrom, other.MergedFrom...)

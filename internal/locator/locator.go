@@ -22,9 +22,19 @@
 // location, so AddBatch and expiry run one goroutine per shard, and the
 // per-component type counting of Algorithm 2 fans out one goroutine per
 // connected component. Everything order-sensitive — incident ID
-// assignment, absorption of smaller incidents, the closed list — stays on
-// the caller's goroutine, so incident sets, IDs, and ordering are
-// identical for every worker count.
+// assignment, absorption of smaller incidents, the closed list, the
+// ownership tables — stays on the caller's goroutine, so incident sets,
+// IDs, and ordering are identical for every worker count.
+//
+// # Incident ownership
+//
+// Active incident roots form an antichain, so every location has at most
+// one owning incident, found by walking its ancestor chain through the
+// per-PathID incAt table — at most seven steps, however many incidents
+// are open. Algorithm 1's attach (Add/AddBatch) and Algorithm 2's "is
+// this root already covered" test are that walk; incUnder tells generate
+// whether a new root has smaller incidents to absorb before it scans for
+// them.
 //
 // # Dense IDs and incremental connectivity
 //
@@ -283,6 +293,13 @@ type Locator struct {
 	ufParent   []intern.PathID // dynamic union-find over live node IDs
 	rootGroup  []int32         // regroup scratch: component root -> group index
 	rootEpoch  []uint64
+	// Incident ownership. Active roots are an antichain — an incident is
+	// only created when no active root contains its root, and creation
+	// absorbs every active root it contains — so a location has at most
+	// one owning incident: the one rooted at its nearest rooted ancestor.
+	// Written only by own/disown, where the active set changes.
+	incAt    []*incident.Incident // active incident rooted exactly here
+	incUnder []int32              // active roots at or below this path
 
 	// pidOfDev maps a topology.DeviceID to its interned path ID (None
 	// until the device's path is first interned) — the pre-resolved
@@ -313,6 +330,7 @@ type Locator struct {
 
 	// Reused per-call buffers.
 	linBuf   []uint64
+	ownBuf   []*incident.Incident
 	pidBuf   []intern.PathID
 	tidBuf   []intern.TypeID
 	addBuf   []intern.PathID
@@ -346,7 +364,18 @@ func New(cfg Config, topo *topology.Topology) *Locator {
 		}
 	}
 	l.expireFn = l.expireShard
-	l.countFn = func(w, i int) { l.counts[i] = l.countTypes(w, l.compIDs[i]) }
+	l.countFn = func(w, i int) {
+		// A component whose root an active incident already covers is
+		// skipped by generate whatever it counts (coverage only grows while
+		// generate runs), so it is not counted: the zero tally never
+		// crosses. Reads the ownership tables only.
+		ids := l.compIDs[i]
+		if l.ownerOf(l.commonAncestorID(ids[0], ids[len(ids)-1])) != nil {
+			l.counts[i] = compCount{}
+			return
+		}
+		l.counts[i] = l.countTypes(w, ids)
+	}
 	return l
 }
 
@@ -407,6 +436,8 @@ func (l *Locator) growTables() {
 		l.ufParent = append(l.ufParent, pid)
 		l.rootGroup = append(l.rootGroup, 0)
 		l.rootEpoch = append(l.rootEpoch, 0)
+		l.incAt = append(l.incAt, nil)
+		l.incUnder = append(l.incUnder, 0)
 		dev := int32(-1)
 		if l.topo != nil {
 			if d, ok := l.topo.DeviceByPath(p); ok {
@@ -433,9 +464,56 @@ func (l *Locator) nodeAt(p hierarchy.Path) (*node, bool) {
 	return l.nodeByID(pid), true
 }
 
-// Add inserts one structured alert — Algorithm 1. The alert joins every
-// active incident whose subtree contains its location, and always joins
-// the main tree (so incident scopes can still grow).
+// ownerOf returns the active incident whose subtree contains the
+// location — the one rooted at the nearest rooted ancestor (self and the
+// hierarchy root included) — or nil. At most one exists: active roots are
+// an antichain.
+func (l *Locator) ownerOf(pid intern.PathID) *incident.Incident {
+	for ; pid != intern.None; pid = l.pt.Parent(pid) {
+		if in := l.incAt[pid]; in != nil {
+			return in
+		}
+	}
+	return nil
+}
+
+// own enters a newly created incident, rooted at pid, into the ownership
+// tables; disown removes one that was absorbed or closed. Together with
+// the l.active edits beside each call they are the only writers.
+func (l *Locator) own(in *incident.Incident, pid intern.PathID) {
+	l.incAt[pid] = in
+	for ; pid != intern.None; pid = l.pt.Parent(pid) {
+		l.incUnder[pid]++
+	}
+}
+
+func (l *Locator) disown(in *incident.Incident) {
+	pid, _ := l.pt.Lookup(in.Root)
+	l.incAt[pid] = nil
+	for ; pid != intern.None; pid = l.pt.Parent(pid) {
+		l.incUnder[pid]--
+	}
+}
+
+// commonAncestorID is Path.CommonAncestor over interned IDs: interning a
+// path interns its whole ancestor chain, so the walk never leaves the
+// table and meets at the hierarchy root at the latest.
+func (l *Locator) commonAncestorID(a, b intern.PathID) intern.PathID {
+	for l.pt.Depth(a) > l.pt.Depth(b) {
+		a = l.pt.Parent(a)
+	}
+	for l.pt.Depth(b) > l.pt.Depth(a) {
+		b = l.pt.Parent(b)
+	}
+	for a != b {
+		a, b = l.pt.Parent(a), l.pt.Parent(b)
+	}
+	return a
+}
+
+// Add inserts one structured alert — Algorithm 1. The alert joins the
+// active incident whose subtree contains its location, if any, and always
+// joins the main tree (so incident scopes can still grow).
 func (l *Locator) Add(a alert.Alert) { l.addRef(&a) }
 
 // addRef is Add without the argument copy — the serial ingest path.
@@ -445,43 +523,40 @@ func (l *Locator) addRef(a *alert.Alert) {
 	if l.pt.Len() > len(l.slotOf) {
 		l.growTables()
 	}
+	owner := l.ownerOf(pid)
 	var lid uint64
 	if l.prov != nil {
-		lid = l.takeLineage(a)
+		lid = l.takeLineage(a, owner)
 	}
-	for _, in := range l.active {
-		if in.Root.Contains(a.Location) {
-			in.AddRef(a)
-		}
+	if owner != nil {
+		owner.AddRef(a)
 	}
 	l.upsert(&l.shards[l.shardOfID[pid]], a, pid, tid, lid)
 }
 
 // takeLineage claims the head lineage a structured alert carries and, if
-// an active incident will absorb the alert, resolves it attributed right
-// away (the first containing incident in ID-insertion order, matching the
-// serial Add semantics). Returns the lineage still waiting on the main
-// tree, or 0.
-func (l *Locator) takeLineage(a *alert.Alert) uint64 {
+// an active incident owns the alert's location, resolves it attributed
+// right away. Returns the lineage still waiting on the main tree, or 0.
+func (l *Locator) takeLineage(a *alert.Alert, owner *incident.Incident) uint64 {
 	lid := l.prov.TakeEmitted(a.ID)
 	if lid == 0 {
 		return 0
 	}
-	for _, in := range l.active {
-		if in.Root.Contains(a.Location) {
-			l.prov.Attributed(lid, in.ID)
-			return 0
-		}
+	if owner != nil {
+		l.prov.Attributed(lid, owner.ID)
+		return 0
 	}
 	return lid
 }
 
 // AddBatch inserts one tick's structured alerts — Algorithm 1 over a
-// batch. The serial prologue interns every location and type key, so the
-// fan-out below only reads the tables. Active incidents absorb their
-// alerts in batch order (one task per incident) while the main-tree
-// shards consolidate theirs (one task per shard); both mutations are
-// disjoint, so the result is identical to calling Add per alert.
+// batch. The serial prologue interns every location and type key and
+// resolves each row's owning incident, so the fan-out below only reads
+// the tables. Incident absorption fans out over Workers tasks — task w
+// feeds the incidents with ID mod Workers == w, each in batch order —
+// while the main-tree shards consolidate theirs (one task per shard);
+// both mutations are disjoint, so the result is identical to calling Add
+// per alert.
 func (l *Locator) AddBatch(batch []alert.Alert) {
 	if len(batch) == 0 {
 		return
@@ -495,9 +570,11 @@ func (l *Locator) AddBatch(batch []alert.Alert) {
 	if cap(l.pidBuf) < len(batch) {
 		l.pidBuf = make([]intern.PathID, len(batch))
 		l.tidBuf = make([]intern.TypeID, len(batch))
+		l.ownBuf = make([]*incident.Incident, len(batch))
 	}
 	pids := l.pidBuf[:len(batch)]
 	tids := l.tidBuf[:len(batch)]
+	owners := l.ownBuf[:len(batch)]
 	for i := range batch {
 		pids[i] = l.pt.Intern(batch[i].Location)
 		tids[i] = l.tt.Intern(alert.TypeKey{Source: batch[i].Source, Type: batch[i].Type})
@@ -505,9 +582,11 @@ func (l *Locator) AddBatch(batch []alert.Alert) {
 	if l.pt.Len() > len(l.slotOf) {
 		l.growTables()
 	}
-	// Claim lineages serially before the fan-out: attribution order (first
-	// containing incident) and the emitted-map mutation must not depend on
-	// worker scheduling.
+	for i, pid := range pids {
+		owners[i] = l.ownerOf(pid)
+	}
+	// Claim lineages serially before the fan-out: the emitted-map mutation
+	// and attribution order must not depend on worker scheduling.
 	var lins []uint64
 	if l.prov != nil {
 		if cap(l.linBuf) < len(batch) {
@@ -515,24 +594,22 @@ func (l *Locator) AddBatch(batch []alert.Alert) {
 		}
 		lins = l.linBuf[:len(batch)]
 		for i := range batch {
-			lins[i] = l.takeLineage(&batch[i])
+			lins[i] = l.takeLineage(&batch[i], owners[i])
 		}
 	}
-	nInc := len(l.active)
-	// Fork tasks mix kinds: task < nInc absorbs into one incident, the
-	// rest consolidate one node shard each.
-	f := l.spans.Fork("addbatch_fan", nInc+len(l.shards))
-	par.DoTimed(l.workers, nInc+len(l.shards), f.Timer(), func(task int) {
-		if task < nInc {
-			in := l.active[task]
-			for i := range batch {
-				if in.Root.Contains(batch[i].Location) {
+	// Fork tasks mix kinds: task < workers absorbs into that task's share
+	// of the owning incidents, the rest consolidate one node shard each.
+	f := l.spans.Fork("addbatch_fan", l.workers+len(l.shards))
+	par.DoTimed(l.workers, l.workers+len(l.shards), f.Timer(), func(task int) {
+		if task < l.workers {
+			for i, in := range owners {
+				if in != nil && in.ID%l.workers == task {
 					in.AddRef(&batch[i])
 				}
 			}
 			return
 		}
-		s := int32(task - nInc)
+		s := int32(task - l.workers)
 		shard := &l.shards[s]
 		for i := range batch {
 			if l.shardOfID[pids[i]] == s {
@@ -584,7 +661,7 @@ func (l *Locator) upsert(shard *locShard, a *alert.Alert, pid intern.PathID, tid
 			if a.Value > e.a.Value {
 				e.a.Value = a.Value
 			}
-			e.a.Count += countOf(*a)
+			e.a.Count += countOf(a)
 			if a.Time.After(e.lastSeen) {
 				e.lastSeen = a.Time
 			}
@@ -606,7 +683,7 @@ func (l *Locator) upsert(shard *locShard, a *alert.Alert, pid intern.PathID, tid
 		shard.arena = shard.arena[1:]
 	}
 	e.a = *a
-	e.a.Count = countOf(*a)
+	e.a.Count = countOf(a)
 	e.lastSeen = a.Time
 	e.tid = tid
 	e.lineage = e.lineage[:0]
@@ -616,7 +693,7 @@ func (l *Locator) upsert(shard *locShard, a *alert.Alert, pid intern.PathID, tid
 	n.entries = append(n.entries, e)
 }
 
-func countOf(a alert.Alert) int {
+func countOf(a *alert.Alert) int {
 	if a.Count > 0 {
 		return a.Count
 	}
@@ -680,6 +757,7 @@ func (l *Locator) expire(now time.Time) {
 		if now.Sub(in.UpdateTime) > l.cfg.IncidentTTL {
 			in.Close(in.UpdateTime)
 			l.closed = append(l.closed, in)
+			l.disown(in)
 			if l.prov != nil {
 				l.prov.IncidentClosed(in.ID, in.UpdateTime)
 			}
@@ -693,7 +771,9 @@ func (l *Locator) expire(now time.Time) {
 // expireShard ages out one shard's streams at l.expireNow — the task
 // body of expire's fan-out, prebuilt so the call allocates nothing.
 func (l *Locator) expireShard(s int) {
-	now := l.expireNow
+	// lastSeen before the cutoff is now.Sub(lastSeen) > NodeTTL, without
+	// Sub's overflow check on every stream of every tick.
+	cutoff := l.expireNow.Add(-l.cfg.NodeTTL)
 	sh := &l.shards[s]
 	sh.expLin = sh.expLin[:0]
 	for li := 0; li < len(sh.live); {
@@ -702,7 +782,7 @@ func (l *Locator) expireShard(s int) {
 		n := &sh.slots[slot]
 		keep := n.entries[:0]
 		for _, e := range n.entries {
-			if now.Sub(e.lastSeen) > l.cfg.NodeTTL {
+			if e.lastSeen.Before(cutoff) {
 				if len(e.lineage) > 0 {
 					sh.expLin = append(sh.expLin, e.lineage...)
 					e.lineage = e.lineage[:0]
@@ -975,42 +1055,55 @@ func (l *Locator) generate(now time.Time) []*incident.Incident {
 		if !l.cfg.Thresholds.Crossed(counts[ci].failureTypes, counts[ci].allTypes) {
 			continue
 		}
-		root := comp[0].CommonAncestor(comp[len(comp)-1])
-		if l.coveredByActive(root) {
+		ids := l.compIDs[ci]
+		rootID := l.commonAncestorID(ids[0], ids[len(ids)-1])
+		if l.ownerOf(rootID) != nil {
+			// An active incident already covers (or is rooted exactly at)
+			// the candidate root.
 			continue
 		}
+		root := l.pt.Path(rootID)
 		in := incident.New(l.nextID, root)
 		l.nextID++
+		// No active root is at or above rootID, so incUnder counts exactly
+		// the smaller incidents to absorb; none (the common case) skips
+		// both scans of the active list.
+		absorbs := l.incUnder[rootID] > 0
 		// Pre-size the incident's entry slab and index for everything it
 		// is about to receive — the entries of the active incidents it
 		// absorbs plus the component's streams — so the merge and copy
 		// below never reallocate either.
 		nEntries := 0
-		for _, old := range l.active {
-			if root.Contains(old.Root) {
-				nEntries += old.EntryCount()
+		if absorbs {
+			for _, old := range l.active {
+				if root.Contains(old.Root) {
+					nEntries += old.EntryCount()
+				}
 			}
 		}
-		for _, pid := range l.compIDs[ci] {
+		for _, pid := range ids {
 			nEntries += len(l.nodeByID(pid).entries)
 		}
 		in.Grow(nEntries)
 		// Absorb smaller active incidents inside the new subtree
 		// (Algorithm 2, lines 7–9).
-		remaining := l.active[:0]
-		for _, old := range l.active {
-			if root.Contains(old.Root) {
-				in.Merge(old)
-			} else {
-				remaining = append(remaining, old)
+		if absorbs {
+			remaining := l.active[:0]
+			for _, old := range l.active {
+				if root.Contains(old.Root) {
+					in.Merge(old)
+					l.disown(old)
+				} else {
+					remaining = append(remaining, old)
+				}
 			}
+			l.active = remaining
 		}
-		l.active = remaining
 		if l.prov != nil {
 			l.recordCreation(in, now, comp, counts[ci].failureTypes, counts[ci].allTypes)
 		}
 		// Copy the component's current alerts into the incident tree.
-		for _, pid := range l.compIDs[ci] {
+		for _, pid := range ids {
 			n := l.nodeByID(pid)
 			for _, e := range n.entries {
 				in.AddRef(&e.a)
@@ -1023,6 +1116,7 @@ func (l *Locator) generate(now time.Time) []*incident.Incident {
 			}
 		}
 		l.active = append(l.active, in)
+		l.own(in, rootID)
 		created = append(created, in)
 	}
 	slices.SortFunc(created, func(a, b *incident.Incident) int { return a.ID - b.ID })
@@ -1066,17 +1160,6 @@ func (l *Locator) recordCreation(in *incident.Incident, now time.Time, comp []hi
 		ComponentSize: len(comp),
 		MergedFrom:    append([]int(nil), in.MergedFrom...),
 	})
-}
-
-// coveredByActive reports whether an active incident already covers (or
-// is rooted exactly at) the candidate root.
-func (l *Locator) coveredByActive(root hierarchy.Path) bool {
-	for _, in := range l.active {
-		if in.Root.Contains(root) {
-			return true
-		}
-	}
-	return false
 }
 
 // countTypes counts distinct failure types and total types over a

@@ -8,6 +8,7 @@ package microbench
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -92,6 +93,9 @@ var suite = []struct {
 	{"batch_absorb", benchBatchAbsorb},
 	{"locator_addcheck", benchLocatorAddCheck},
 	{"locator_steady_check", benchLocatorSteadyCheck},
+	{"locator_wide_check_250", func(b *testing.B) { LocatorWideCheck(b, 250) }},
+	{"locator_wide_check_1000", func(b *testing.B) { LocatorWideCheck(b, 1000) }},
+	{"locator_wide_check_4000", func(b *testing.B) { LocatorWideCheck(b, 4000) }},
 	{"ftree_classify", benchFTreeClassify},
 	{"wire_codec", benchWireCodec},
 	{"wire_codec_scratch", benchWireCodecScratch},
@@ -398,6 +402,76 @@ func benchLocatorSteadyCheck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		loc.Check(now)
+	}
+}
+
+var productionTopo = sync.OnceValue(func() *topology.Topology {
+	return topology.MustGenerate(topology.ProductionConfig())
+})
+
+// LocatorWideCheck measures the locator's per-tick cost against the
+// number of concurrent incidents — the axis Figure 8c lacks. n mutually
+// non-adjacent production-topology ToRs (ToRs link only to their
+// cluster's routers) each carry six streams, two of them failure-class,
+// so each is an incident of its own; one iteration is a tick that
+// re-observes 64 of those streams and runs Check. The work a tick brings
+// is constant, so the cost should grow with n only through O(n)
+// bookkeeping — not through anything per active incident per alert or
+// per component.
+func LocatorWideCheck(b *testing.B, n int) {
+	topo := productionTopo()
+	var tors []hierarchy.Path
+	for i := range topo.Devices {
+		if d := &topo.Devices[i]; d.Role == topology.RoleToR {
+			tors = append(tors, d.Path)
+		}
+	}
+	if len(tors) < n {
+		b.Fatalf("production topology has %d ToRs, need %d", len(tors), n)
+	}
+	types := []struct {
+		src alert.Source
+		typ string
+	}{
+		{alert.SourcePing, alert.TypePacketLoss},
+		{alert.SourcePing, alert.TypeEndToEndICMP},
+		{alert.SourceOutOfBand, alert.TypeDeviceInaccessible},
+		{alert.SourceOutOfBand, alert.TypeHighCPU},
+		{alert.SourceSNMP, alert.TypeCRCError},
+		{alert.SourceTraffic, alert.TypeTrafficCongestion},
+	}
+	now := benchEpoch
+	streams := make([]alert.Alert, 0, n*len(types))
+	for i, stride := 0, len(tors)/n; i < n; i++ {
+		for _, k := range types {
+			streams = append(streams, alert.Alert{
+				Source: k.src, Type: k.typ, Class: alert.Classify(k.src, k.typ),
+				Time: now, End: now, Location: tors[i*stride], Count: 1,
+			})
+		}
+	}
+	loc := locator.New(locator.DefaultConfig(), topo)
+	loc.AddBatch(streams)
+	if created := loc.Check(now); len(created) != n {
+		b.Fatalf("%d devices opened %d incidents", n, len(created))
+	}
+	// Every stream is re-observed once per len(streams)/64 ticks — 38 s of
+	// 100 ms ticks at n = 4000, well inside NodeTTL, so nothing expires.
+	batch := make([]alert.Alert, 64)
+	next := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = now.Add(100 * time.Millisecond)
+		for j := range batch {
+			batch[j] = streams[next]
+			batch[j].Time, batch[j].End = now, now
+			next = (next + 1) % len(streams)
+		}
+		loc.AddBatch(batch)
+		if created := loc.Check(now); len(created) != 0 || loc.ActiveCount() != n {
+			b.Fatalf("tick %d: %d created, %d active, want 0 and %d", i, len(created), loc.ActiveCount(), n)
+		}
 	}
 }
 

@@ -86,10 +86,19 @@ func TestReplayTracingSpanNames(t *testing.T) {
 		t.Fatalf("slowest trace malformed: dur=%v spans=%d", slow.Dur, len(slow.Spans))
 	}
 	for _, tr := range tracer.Last(0) {
+		addFan := 0
 		for i := range tr.Spans {
 			if tr.Spans[i].Shard >= 0 {
 				sharded[tr.Spans[i].Name] = true
+				if tr.Spans[i].Name == "addbatch_fan" {
+					addFan++
+				}
 			}
+		}
+		// One AddBatch per tick: Workers absorb tasks plus one task per
+		// node shard, however many incidents are open.
+		if addFan != 0 && addFan != 2*cfg.Workers {
+			t.Errorf("tick %d: addbatch_fan has %d tasks, want workers+shards = %d", tr.Tick, addFan, 2*cfg.Workers)
 		}
 	}
 	for _, name := range []string{
