@@ -242,7 +242,7 @@ func main() {
 	// The batch handler runs on the ingest dispatch goroutine and feeds
 	// the engine's columnar path directly under engineMu (IngestBatch
 	// copies the columns out, so the dispatcher's batch is safe to
-	// reuse). Backpressure lives inside ingest: its queues buffer while
+	// reuse). Backpressure lives inside ingest: its queue buffers while
 	// the engine ticks, and overflow is shed there — counted on the
 	// skynet_ingest_rejected_queue_full_total counter, never silently
 	// dropped.

@@ -123,6 +123,7 @@ type Engine struct {
 	tickCount  uint64
 
 	rawIn int
+	one   alert.Batch // Ingest's one-row batch
 
 	// Telemetry is optional; all fields below are nil/zero until
 	// EnableTelemetry, and the pipeline takes no telemetry branches then.
@@ -207,23 +208,19 @@ func (e *Engine) PreprocessShards() int { return e.pre.Workers() }
 // LocatorShards reports the locator's resolved shard count.
 func (e *Engine) LocatorShards() int { return e.loc.Workers() }
 
-// Ingest feeds one raw alert into the preprocessor.
+// Ingest feeds one raw alert into the preprocessor: IngestBatch on a
+// one-row batch.
 func (e *Engine) Ingest(a alert.Alert) {
-	e.rawIn++
-	if e.tel != nil {
-		e.tel.rawIngested.Inc()
-	}
-	if e.flood != nil {
-		e.flood.ObserveRaw(a)
-	}
-	e.pre.Add(a)
+	e.one.Reset()
+	e.one.Append(&a)
+	e.IngestBatch(&e.one)
 }
 
 // IngestBatch feeds a columnar batch of raw alerts into the preprocessor
-// in one call — the bulk twin of Ingest, avoiding a per-alert struct copy
-// through the call chain. The batch is consumed by value into the
-// preprocessor's pending columns; the caller may Reset and refill it
-// immediately.
+// — the one ingest path; the network listeners, trace replays and the
+// simulation runner all call it. The rows are copied onto the
+// preprocessor's pending columns; the caller may Reset and refill the
+// batch immediately.
 func (e *Engine) IngestBatch(b *alert.Batch) {
 	n := b.Len()
 	if n == 0 {
@@ -234,11 +231,7 @@ func (e *Engine) IngestBatch(b *alert.Batch) {
 		e.tel.rawIngested.Add(int64(n))
 	}
 	if e.flood != nil {
-		var a alert.Alert
-		for i := 0; i < n; i++ {
-			b.AlertAt(i, &a)
-			e.flood.ObserveRaw(a)
-		}
+		e.flood.ObserveRaw(b.Source)
 	}
 	e.pre.AddBatch(b)
 }

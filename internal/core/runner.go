@@ -106,18 +106,21 @@ func (r *Runner) Run(from, to time.Time) (RunStats, error) {
 		engTick = 10 * time.Second
 	}
 	nextEngine := from.Add(engTick)
+	var batch alert.Batch
 	for now := from; now.Before(to); now = now.Add(simTick) {
 		if err := r.Sim.Step(now); err != nil {
 			return stats, err
 		}
 		raw := r.Fleet.Poll(r.Sim, now)
 		stats.RawAlerts += len(raw)
+		batch.Reset()
 		for i := range raw {
 			if r.Tap != nil {
 				r.Tap(raw[i])
 			}
-			r.Engine.Ingest(raw[i])
+			batch.Append(&raw[i])
 		}
+		r.Engine.IngestBatch(&batch)
 		if !now.Before(nextEngine) {
 			r.pushReachability()
 			res := r.Engine.Tick(now)

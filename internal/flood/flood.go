@@ -265,7 +265,7 @@ type pendingIncident struct {
 type Recorder struct {
 	cfg Config
 
-	// Inter-tick raw tap, engine-goroutine only: written per alert by
+	// Inter-tick raw tap, engine-goroutine only: written per batch by
 	// ObserveRaw without locking, drained once per ObserveTick.
 	pendingRaw int64
 	pendingSrc []int64
@@ -394,17 +394,19 @@ func (r *Recorder) newEpisodeMetricsLocked(id uint64) *episodeMetrics {
 	}
 }
 
-// ObserveRaw taps one raw alert at ingest. Engine goroutine only; no
-// locks — the tallies it touches are drained only by ObserveTick on the
-// same goroutine, so the per-alert hot path stays allocation- and
+// ObserveRaw taps a batch of raw alerts at ingest through its Source
+// column — all the tap reads. Engine goroutine only; no locks — the
+// tallies it touches are drained only by ObserveTick on the same
+// goroutine, so the ingest hot path stays allocation- and
 // contention-free.
-func (r *Recorder) ObserveRaw(a alert.Alert) {
-	r.pendingRaw++
-	s := a.Source
-	if s < 0 || int(s) >= len(r.pendingSrc) {
-		s = 0
+func (r *Recorder) ObserveRaw(srcs []alert.Source) {
+	r.pendingRaw += int64(len(srcs))
+	for _, s := range srcs {
+		if s < 0 || int(s) >= len(r.pendingSrc) {
+			s = 0
+		}
+		r.pendingSrc[s]++
 	}
-	r.pendingSrc[s]++
 }
 
 // ObserveTick advances the detector by one pipeline tick and folds the

@@ -31,10 +31,12 @@ func feed(r *Recorder, tick uint64, raw int, created ...*incident.Incident) Tick
 		Location: hierarchy.MustNew("r1", "dc1", "pod1", "rack1", "dev1"),
 	}
 	structured := make([]alert.Alert, 0, raw)
+	srcs := make([]alert.Source, 0, raw)
 	for i := 0; i < raw; i++ {
-		r.ObserveRaw(a)
+		srcs = append(srcs, a.Source)
 		structured = append(structured, a)
 	}
+	r.ObserveRaw(srcs)
 	return r.ObserveTick(tickTime(tick), tick, structured, created, created, nil)
 }
 

@@ -1,12 +1,19 @@
 // Package ingest is SkyNet's network front door: monitoring tools deliver
 // raw alerts over TCP (JSON Lines) or UDP (the compact pipe-delimited
-// format), and the listeners funnel them into a single handler — typically
-// core.Engine.Ingest — serialized on one goroutine so the engine needs no
+// format), and the listeners funnel them, as columnar batches, into a
+// single handler — typically core.Engine.IngestBatch under the caller's
+// engine lock — serialized on one goroutine so the engine needs no
 // internal locking.
 //
 // The production system sits behind collectors speaking exactly these two
 // shapes of protocol: reliable streams from aggregating relays, and
 // fire-and-forget datagrams from device-local agents.
+//
+// There is one data path (DESIGN.md §9): every socket reader — each TCP
+// connection, the UDP socket — decodes into a pooled alert.Batch it owns
+// and hands it over whole, when it is full or when the reader is about
+// to wait on its socket, to one queue bounded in rows; one dispatcher
+// ranges that queue into the handler and returns the batch to the pool.
 package ingest
 
 import (
@@ -17,25 +24,25 @@ import (
 	"log/slog"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"skynet/internal/alert"
 	"skynet/internal/telemetry"
 )
 
-// Handler consumes ingested alerts. Implementations are called from a
-// single dispatch goroutine; they must not block for long.
+// Handler consumes ingested alerts one at a time; see Listen.
 type Handler func(alert.Alert)
 
-// BatchHandler consumes batches of ingested alerts — the columnar fast
-// path (core.Engine.IngestBatch). Called from a single dispatch
-// goroutine. The batch is reset and reused once the call returns, so
-// implementations must copy any rows they retain.
+// BatchHandler consumes batches of ingested alerts. Called from the
+// single dispatch goroutine; it must not block for long. The batch is
+// reset and reused once the call returns, so implementations must copy
+// any rows they retain.
 type BatchHandler func(*alert.Batch)
 
-// maxIngestBatch caps how many alerts a dispatch batch accumulates
-// before it is handed off; during a flood the dispatcher flushes at
-// this size, otherwise as soon as the queue goes momentarily idle.
+// maxIngestBatch caps how many rows a reader accumulates before handing
+// its batch off; during a flood readers flush at this size, otherwise as
+// soon as their socket has nothing more for them.
 const maxIngestBatch = 512
 
 // udpFlushInterval bounds how long a decoded-but-unflushed UDP batch can
@@ -47,11 +54,13 @@ const udpFlushInterval = 2 * time.Millisecond
 // RegisterMetrics), so the two always agree.
 type Stats struct {
 	TCPConnections int
+	// AlertsAccepted counts rows admitted to the dispatch queue; every
+	// one of them reaches the handler, at the latest during Close.
 	AlertsAccepted int
 	// AlertsRejected is the total across every reject reason below.
 	AlertsRejected int
-	// QueueHighWater is the deepest the dispatch queue has been — how
-	// close a flood came to shedding.
+	// QueueHighWater is the deepest the dispatch queue has been, in rows
+	// — how close a flood came to shedding.
 	QueueHighWater int
 
 	// Per-protocol reject reasons, summing to AlertsRejected.
@@ -59,7 +68,7 @@ type Stats struct {
 	TCPInvalid      int // TCP alerts failing validation
 	UDPParseErrors  int // malformed compact-format datagrams
 	UDPInvalid      int // UDP alerts failing validation
-	QueueFull       int // dropped because the dispatch queue was full
+	QueueFull       int // rows shed because the dispatch queue was full
 }
 
 // rejectReason indexes the per-protocol reject counters.
@@ -84,8 +93,9 @@ type Config struct {
 	MaxConns int
 	// ReadTimeout closes idle TCP connections.
 	ReadTimeout time.Duration
-	// QueueDepth is the dispatch channel capacity between readers and the
-	// handler goroutine.
+	// QueueDepth bounds, in rows and across both protocols, what may wait
+	// between the readers and the handler goroutine; a batch that would
+	// exceed it is shed and counted under QueueFull.
 	QueueDepth int
 	// Logger receives operational events; nil means slog.Default().
 	Logger *slog.Logger
@@ -102,55 +112,62 @@ func DefaultConfig() Config {
 	}
 }
 
-// Server runs the listeners. Create with Listen or ListenBatch, stop
+// Server runs the listeners. Create with ListenBatch (or Listen), stop
 // with Close.
 type Server struct {
-	cfg      Config
-	handler  Handler      // per-alert mode (Listen)
-	bhandler BatchHandler // batch mode (ListenBatch)
-	log      *slog.Logger
+	cfg     Config
+	handler BatchHandler
+	log     *slog.Logger
+	// batchRows is the reader flush size: maxIngestBatch, or QueueDepth
+	// when that is smaller, so that an empty queue admits any batch.
+	batchRows int
 
 	tcpLn net.Listener
 	udpPc net.PacketConn
 
-	queue chan alert.Alert
-	// batchQ carries whole UDP-decoded batches in batch mode; the wire
-	// codec writes straight into their columns, so a datagram never
-	// materializes an intermediate Alert on the hot path.
-	batchQ chan *alert.Batch
-	pool   sync.Pool // *alert.Batch
+	// queue carries reader-filled batches to the dispatcher and queued
+	// counts their rows. Admission keeps queued ≤ QueueDepth and no batch
+	// is empty, so the channel (capacity QueueDepth) never blocks a send.
+	queue  chan *alert.Batch
+	queued atomic.Int64
+	pool   sync.Pool // *alert.Batch, reset before Put
 
 	mu    sync.Mutex
 	stats Stats
 	conns map[net.Conn]struct{}
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	ctx       context.Context
+	cancel    context.CancelFunc
+	readers   sync.WaitGroup // accept loop, connections, UDP reader
+	done      chan struct{}  // closed when the dispatcher has exited
+	closeOnce sync.Once
 }
 
-// Listen starts the configured listeners and the dispatch goroutine.
+// Listen is ListenBatch for a per-alert handler: each batch is walked in
+// row order. Rows carry no ID (alert.Batch has no ID column; structured
+// IDs are assigned downstream).
 func Listen(cfg Config, handler Handler) (*Server, error) {
 	if handler == nil {
 		return nil, errors.New("ingest: nil handler")
 	}
-	return listen(cfg, handler, nil)
+	return ListenBatch(cfg, func(b *alert.Batch) {
+		var a alert.Alert
+		for i := 0; i < b.Len(); i++ {
+			b.AlertAt(i, &a)
+			handler(a)
+		}
+	})
 }
 
-// ListenBatch is Listen with columnar dispatch: alerts are accumulated
-// into a reused alert.Batch and handed to the handler in batches — at
-// most maxIngestBatch rows, or whatever arrived when the queue goes
-// idle. UDP datagrams are decoded by Batch.AppendWire directly into the
-// batch columns on the reader goroutine; TCP alerts are batched at the
-// dispatcher. Ordering within each protocol is preserved.
+// ListenBatch starts the configured listeners and the dispatch
+// goroutine. TCP alerts are JSON-decoded and UDP datagrams wire-decoded
+// (Batch.AppendWireScratch, no intermediate Alert) on their reader's
+// goroutine, straight into the batch the handler will see. Per TCP
+// connection and per UDP socket the handler sees rows in arrival order.
 func ListenBatch(cfg Config, handler BatchHandler) (*Server, error) {
 	if handler == nil {
 		return nil, errors.New("ingest: nil batch handler")
 	}
-	return listen(cfg, nil, handler)
-}
-
-func listen(cfg Config, handler Handler, bhandler BatchHandler) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
 	}
@@ -163,19 +180,17 @@ func listen(cfg Config, handler Handler, bhandler BatchHandler) (*Server, error)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:      cfg,
-		handler:  handler,
-		bhandler: bhandler,
-		log:      log,
-		queue:    make(chan alert.Alert, cfg.QueueDepth),
-		conns:    make(map[net.Conn]struct{}),
-		ctx:      ctx,
-		cancel:   cancel,
+		cfg:       cfg,
+		handler:   handler,
+		log:       log,
+		batchRows: min(maxIngestBatch, cfg.QueueDepth),
+		queue:     make(chan *alert.Batch, cfg.QueueDepth),
+		conns:     make(map[net.Conn]struct{}),
+		ctx:       ctx,
+		cancel:    cancel,
+		done:      make(chan struct{}),
 	}
 	s.pool.New = func() any { return new(alert.Batch) }
-	if bhandler != nil {
-		s.batchQ = make(chan *alert.Batch, 64)
-	}
 	if cfg.TCPAddr != "" {
 		ln, err := net.Listen("tcp", cfg.TCPAddr)
 		if err != nil {
@@ -183,7 +198,7 @@ func listen(cfg Config, handler Handler, bhandler BatchHandler) (*Server, error)
 			return nil, fmt.Errorf("ingest: tcp listen: %w", err)
 		}
 		s.tcpLn = ln
-		s.wg.Add(1)
+		s.readers.Add(1)
 		go s.acceptLoop()
 	}
 	if cfg.UDPAddr != "" {
@@ -196,19 +211,10 @@ func listen(cfg Config, handler Handler, bhandler BatchHandler) (*Server, error)
 			return nil, fmt.Errorf("ingest: udp listen: %w", err)
 		}
 		s.udpPc = pc
-		s.wg.Add(1)
-		if s.bhandler != nil {
-			go s.udpBatchLoop()
-		} else {
-			go s.udpLoop()
-		}
+		s.readers.Add(1)
+		go s.udpLoop()
 	}
-	s.wg.Add(1)
-	if s.bhandler != nil {
-		go s.dispatchBatch()
-	} else {
-		go s.dispatch()
-	}
+	go s.dispatch()
 	return s, nil
 }
 
@@ -235,165 +241,117 @@ func (s *Server) Stats() Stats {
 	return s.stats
 }
 
-// QueueLoad returns the dispatch queue's current depth and capacity —
-// the backpressure surface watched by the flight recorder.
+// QueueLoad returns the dispatch queue's current depth and capacity in
+// rows, both protocols together — the backpressure surface watched by
+// the flight recorder.
 func (s *Server) QueueLoad() (depth, capacity int) {
-	return len(s.queue), cap(s.queue)
+	return int(s.queued.Load()), s.cfg.QueueDepth
 }
 
-// Close stops the listeners, drains in-flight work, and returns when all
-// goroutines have exited. It is idempotent.
+// Close stops the server and returns once every accepted row has been
+// through the handler. The order matters: stop the listeners and
+// connections, wait for the readers (each flushes its partial batch on
+// the way out), only then close the queue, and let the dispatcher range
+// it dry. It is idempotent.
 func (s *Server) Close() error {
-	s.cancel()
-	if s.tcpLn != nil {
-		s.tcpLn.Close()
-	}
-	if s.udpPc != nil {
-		s.udpPc.Close()
-	}
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
+	s.closeOnce.Do(func() {
+		s.cancel()
+		if s.tcpLn != nil {
+			s.tcpLn.Close()
+		}
+		if s.udpPc != nil {
+			s.udpPc.Close()
+		}
+		s.mu.Lock()
+		for c := range s.conns {
+			c.Close()
+		}
+		s.mu.Unlock()
+		s.readers.Wait()
+		close(s.queue)
+	})
+	<-s.done
 	return nil
 }
 
-// dispatch serializes alerts into the handler.
+// dispatch serializes queued batches into the handler and recycles them.
 func (s *Server) dispatch() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.ctx.Done():
-			// Drain what readers already queued.
-			for {
-				select {
-				case a := <-s.queue:
-					s.handler(a)
-				default:
-					return
-				}
-			}
-		case a := <-s.queue:
-			s.handler(a)
-		}
-	}
-}
-
-// dispatchBatch serializes alerts into the batch handler. TCP alerts
-// arrive one at a time on queue and are coalesced here; UDP batches
-// arrive whole on batchQ and are forwarded as-is.
-func (s *Server) dispatchBatch() {
-	defer s.wg.Done()
-	b := s.pool.Get().(*alert.Batch)
-	b.Reset()
-	flush := func() {
-		if b.Len() > 0 {
-			s.bhandler(b)
-			b.Reset()
-		}
-	}
-	forward := func(ub *alert.Batch) {
-		flush() // keep rough arrival order between the two sources
-		s.bhandler(ub)
-		ub.Reset()
-		s.pool.Put(ub)
-	}
-	for {
-		select {
-		case <-s.ctx.Done():
-			// Drain what readers already queued.
-			for {
-				select {
-				case a := <-s.queue:
-					b.Append(&a)
-				case ub := <-s.batchQ:
-					forward(ub)
-				default:
-					flush()
-					return
-				}
-			}
-		case a := <-s.queue:
-			b.Append(&a)
-			more := true
-			for more && b.Len() < maxIngestBatch {
-				select {
-				case a := <-s.queue:
-					b.Append(&a)
-				default:
-					more = false
-				}
-			}
-			flush()
-		case ub := <-s.batchQ:
-			forward(ub)
-		}
-	}
-}
-
-// flushBatch hands a UDP-decoded batch to the dispatcher, dropping (and
-// counting) its rows when the batch queue is full, and returns a fresh
-// batch for the reader to keep decoding into.
-func (s *Server) flushBatch(b *alert.Batch) *alert.Batch {
-	n := b.Len()
-	if n == 0 {
-		return b
-	}
-	select {
-	case s.batchQ <- b:
-		s.mu.Lock()
-		s.stats.AlertsAccepted += n
-		if depth := len(s.queue); depth > s.stats.QueueHighWater {
-			s.stats.QueueHighWater = depth
-		}
-		s.mu.Unlock()
-	default:
-		s.mu.Lock()
-		s.stats.AlertsRejected += n
-		s.stats.QueueFull += n
-		s.mu.Unlock()
+	defer close(s.done)
+	for b := range s.queue {
+		s.queued.Add(-int64(b.Len()))
+		s.handler(b)
 		b.Reset()
-		return b
-	}
-	nb := s.pool.Get().(*alert.Batch)
-	nb.Reset()
-	return nb
-}
-
-// enqueue hands an alert to the dispatcher, dropping (and counting) when
-// the queue is full — backpressure must not stall the network readers
-// during an alert flood.
-func (s *Server) enqueue(a alert.Alert) {
-	select {
-	case s.queue <- a:
-		depth := len(s.queue)
-		s.mu.Lock()
-		s.stats.AlertsAccepted++
-		if depth > s.stats.QueueHighWater {
-			s.stats.QueueHighWater = depth
-		}
-		s.mu.Unlock()
-	default:
-		s.reject(rejectQueueFull)
+		s.pool.Put(b)
 	}
 }
 
-func (s *Server) reject(why rejectReason) {
+// reader is the batch one socket reader is filling. It is nil between a
+// flush and the next row, so an idle connection holds no batch.
+type reader struct {
+	s *Server
+	b *alert.Batch
+}
+
+// batch returns the batch to decode the next row into.
+func (r *reader) batch() *alert.Batch {
+	if r.b == nil {
+		r.b = r.s.pool.Get().(*alert.Batch)
+	}
+	return r.b
+}
+
+// rows is the number of decoded rows not yet flushed.
+func (r *reader) rows() int {
+	if r.b == nil {
+		return 0
+	}
+	return r.b.Len()
+}
+
+// flush hands the rows decoded so far to the dispatcher, or sheds (and
+// counts) all of them when the queue has no room — backpressure must not
+// stall the network readers during an alert flood. Either way the reader
+// no longer owns the batch.
+func (r *reader) flush() {
+	n := r.rows()
+	if n == 0 {
+		return
+	}
+	s, b := r.s, r.b
+	r.b = nil
+	depth := int(s.queued.Add(int64(n)))
+	if depth > s.cfg.QueueDepth {
+		s.queued.Add(-int64(n))
+		s.reject(rejectQueueFull, n)
+		b.Reset()
+		s.pool.Put(b)
+		return
+	}
 	s.mu.Lock()
-	s.stats.AlertsRejected++
+	s.stats.AlertsAccepted += n
+	if depth > s.stats.QueueHighWater {
+		s.stats.QueueHighWater = depth
+	}
+	s.mu.Unlock()
+	s.queue <- b
+}
+
+// reject counts n rows (or, for a stream decode error, the one broken
+// stream) under a reject reason.
+func (s *Server) reject(why rejectReason, n int) {
+	s.mu.Lock()
+	s.stats.AlertsRejected += n
 	switch why {
 	case rejectTCPDecode:
-		s.stats.TCPDecodeErrors++
+		s.stats.TCPDecodeErrors += n
 	case rejectTCPInvalid:
-		s.stats.TCPInvalid++
+		s.stats.TCPInvalid += n
 	case rejectUDPParse:
-		s.stats.UDPParseErrors++
+		s.stats.UDPParseErrors += n
 	case rejectUDPInvalid:
-		s.stats.UDPInvalid++
+		s.stats.UDPInvalid += n
 	case rejectQueueFull:
-		s.stats.QueueFull++
+		s.stats.QueueFull += n
 	}
 	s.mu.Unlock()
 }
@@ -438,12 +396,12 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 		stat(func(st Stats) int { return st.QueueHighWater }))
 	reg.GaugeFunc("skynet_ingest_queue_depth",
 		"Current dispatch queue depth.",
-		func() float64 { return float64(len(s.queue)) })
+		func() float64 { return float64(s.queued.Load()) })
 }
 
 // acceptLoop accepts TCP connections up to MaxConns.
 func (s *Server) acceptLoop() {
-	defer s.wg.Done()
+	defer s.readers.Done()
 	for {
 		conn, err := s.tcpLn.Accept()
 		if err != nil {
@@ -454,6 +412,13 @@ func (s *Server) acceptLoop() {
 			continue
 		}
 		s.mu.Lock()
+		// Close cancels before it walks conns under mu, so a connection
+		// registered here is either seen by that walk or sees the cancel.
+		if s.ctx.Err() != nil {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
 		if len(s.conns) >= s.cfg.MaxConns {
 			s.mu.Unlock()
 			s.log.Warn("ingest: connection limit reached, closing", "remote", conn.RemoteAddr())
@@ -463,21 +428,25 @@ func (s *Server) acceptLoop() {
 		s.conns[conn] = struct{}{}
 		s.stats.TCPConnections++
 		s.mu.Unlock()
-		s.wg.Add(1)
+		s.readers.Add(1)
 		go s.serveConn(conn)
 	}
 }
 
-// serveConn reads JSON Lines alerts from one TCP connection.
+// serveConn reads JSON Lines alerts from one TCP connection. The batch
+// is flushed when full and, through connReader, whenever the decoder has
+// used up what the socket gave it and goes back for more — no timer.
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
+	defer s.readers.Done()
+	r := reader{s: s}
 	defer func() {
+		r.flush()
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := alert.NewDecoder(&timeoutReader{conn: conn, timeout: s.cfg.ReadTimeout})
+	dec := alert.NewDecoder(&connReader{conn: conn, timeout: s.cfg.ReadTimeout, beforeRead: r.flush})
 	for {
 		var a alert.Alert
 		err := dec.Decode(&a)
@@ -488,91 +457,66 @@ func (s *Server) serveConn(conn net.Conn) {
 			if s.ctx.Err() == nil {
 				s.log.Warn("ingest: tcp decode", "remote", conn.RemoteAddr(), "err", err)
 			}
-			s.reject(rejectTCPDecode)
+			s.reject(rejectTCPDecode, 1)
 			return
 		}
 		if verr := a.Validate(); verr != nil && a.Source != alert.SourceSyslog {
-			s.reject(rejectTCPInvalid)
+			s.reject(rejectTCPInvalid, 1)
 			continue
 		}
-		s.enqueue(a)
+		r.batch().Append(&a)
+		if r.rows() >= s.batchRows {
+			r.flush()
+		}
 	}
 }
 
-// udpLoop reads one compact-format alert per datagram. The loop owns a
+// udpLoop reads one compact-format alert per datagram, decoded straight
+// into batch columns (Batch.AppendWireScratch). The loop owns a
 // WireScratch (single goroutine, no locking) so repeated field values
-// across datagrams decode without allocating.
+// across datagrams decode without allocating. The batch is flushed when
+// full or when no further datagram arrives within udpFlushInterval.
 func (s *Server) udpLoop() {
-	defer s.wg.Done()
+	defer s.readers.Done()
 	buf := make([]byte, alert.MaxLineBytes)
 	var sc alert.WireScratch
-	for {
-		n, _, err := s.udpPc.ReadFrom(buf)
-		if err != nil {
-			if s.ctx.Err() != nil {
-				return
-			}
-			s.log.Warn("ingest: udp read", "err", err)
-			continue
-		}
-		a, err := sc.ParseWire(trimNewline(buf[:n]))
-		if err != nil {
-			s.reject(rejectUDPParse)
-			continue
-		}
-		if verr := a.Validate(); verr != nil && a.Source != alert.SourceSyslog {
-			s.reject(rejectUDPInvalid)
-			continue
-		}
-		s.enqueue(a)
-	}
-}
-
-// udpBatchLoop is udpLoop for batch mode: datagrams decode straight
-// into batch columns (Batch.AppendWire), and the batch is flushed to the
-// dispatcher when it reaches maxIngestBatch rows or when no further
-// datagram arrives within udpFlushInterval.
-func (s *Server) udpBatchLoop() {
-	defer s.wg.Done()
-	buf := make([]byte, alert.MaxLineBytes)
-	var sc alert.WireScratch
-	b := s.pool.Get().(*alert.Batch)
-	b.Reset()
+	r := reader{s: s}
+	defer r.flush()
 	for {
 		// Block indefinitely while empty; with rows pending, wait only
 		// the flush interval so a lull can't strand decoded alerts.
 		var deadline time.Time
-		if b.Len() > 0 {
+		if r.rows() > 0 {
 			deadline = time.Now().Add(udpFlushInterval)
 		}
 		s.udpPc.SetReadDeadline(deadline)
 		n, _, err := s.udpPc.ReadFrom(buf)
 		if err != nil {
 			if s.ctx.Err() != nil {
-				s.flushBatch(b)
 				return
 			}
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
-				b = s.flushBatch(b)
+				r.flush()
 				continue
 			}
 			s.log.Warn("ingest: udp read", "err", err)
 			continue
 		}
+		b := r.batch()
 		if err := b.AppendWireScratch(trimNewline(buf[:n]), &sc); err != nil {
-			s.reject(rejectUDPParse)
+			s.reject(rejectUDPParse, 1)
 			continue
 		}
 		if i := b.Len() - 1; b.Source[i] != alert.SourceSyslog {
 			if verr := b.ValidateRow(i); verr != nil {
 				b.DropLast()
-				s.reject(rejectUDPInvalid)
+				s.reject(rejectUDPInvalid, 1)
 				continue
 			}
 		}
-		if b.Len() >= maxIngestBatch {
-			b = s.flushBatch(b)
+		if b.Len() >= s.batchRows {
+			r.flush()
 		}
 	}
 }
@@ -584,13 +528,17 @@ func trimNewline(b []byte) []byte {
 	return b
 }
 
-// timeoutReader applies a fresh read deadline per Read call.
-type timeoutReader struct {
-	conn    net.Conn
-	timeout time.Duration
+// connReader is a TCP connection as the decoder reads it: every Read
+// first runs beforeRead (the reader is about to wait on its socket) and
+// then applies a fresh read deadline.
+type connReader struct {
+	conn       net.Conn
+	timeout    time.Duration
+	beforeRead func()
 }
 
-func (r *timeoutReader) Read(p []byte) (int, error) {
+func (r *connReader) Read(p []byte) (int, error) {
+	r.beforeRead()
 	if r.timeout > 0 {
 		if err := r.conn.SetReadDeadline(time.Now().Add(r.timeout)); err != nil {
 			return 0, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,8 +42,8 @@ func (c *collector) len() int {
 }
 
 // waitHandled blocks until n alerts have reached the handler or the
-// deadline passes. Enqueue counts an alert as accepted before the
-// dispatch goroutine delivers it, so accepted may run ahead of handled.
+// deadline passes. A reader's flush counts rows as accepted before the
+// dispatch goroutine delivers them, so accepted may run ahead of handled.
 func (c *collector) waitHandled(n int, deadline time.Duration) int {
 	end := time.Now().Add(deadline)
 	for c.len() < n && time.Now().Before(end) {
@@ -366,43 +367,115 @@ func TestTCPPartialJSONThenDisconnect(t *testing.T) {
 	}
 }
 
-func TestQueueOverflowShedsNotBlocks(t *testing.T) {
-	// With a tiny queue and a slow handler, excess alerts are shed (and
-	// counted) rather than stalling the readers.
-	cfg := DefaultConfig()
-	cfg.QueueDepth = 1
-	slow := make(chan struct{})
-	s, err := Listen(cfg, func(alert.Alert) { <-slow })
-	if err != nil {
-		t.Fatal(err)
+// dialProto connects to s over "tcp" or "udp" and returns a function that
+// delivers one alert per call; TCP flushes per alert, so on either
+// protocol every alert is a socket read of its own.
+func dialProto(t *testing.T, s *Server, proto string) func(*alert.Alert) error {
+	t.Helper()
+	if proto == "udp" {
+		c, err := DialUDP(s.UDPAddr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c.Send
 	}
-	t.Cleanup(func() { close(slow); s.Close() })
 	c, err := DialTCP(context.Background(), s.TCPAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	for i := 0; i < 64; i++ {
-		a := testAlert(uint64(i))
-		if err := c.Send(&a); err != nil {
-			t.Fatal(err)
+	t.Cleanup(func() { c.conn.Close() })
+	return func(a *alert.Alert) error {
+		if err := c.Send(a); err != nil {
+			return err
 		}
+		return c.Flush()
 	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		st := s.Stats()
-		if st.AlertsAccepted+st.AlertsRejected >= 64 {
-			if st.AlertsRejected == 0 {
-				t.Error("no shedding under a stuffed queue")
+}
+
+var protos = []string{"tcp", "udp"}
+
+func TestQueueOverflowShedsNotBlocks(t *testing.T) {
+	// With a tiny queue and a stuck handler, excess rows are shed (and
+	// counted, per row) rather than stalling the readers — on both
+	// protocols, through the batch path the daemon runs.
+	for _, proto := range protos {
+		t.Run(proto, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.QueueDepth = 1
+			slow := make(chan struct{})
+			s, err := ListenBatch(cfg, func(*alert.Batch) { <-slow })
+			if err != nil {
+				t.Fatal(err)
 			}
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+			t.Cleanup(func() { close(slow); s.Close() })
+			send := dialProto(t, s, proto)
+			for i := 0; i < 64; i++ {
+				a := testAlert(uint64(i))
+				if err := send(&a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for time.Now().Before(deadline) {
+				st := s.Stats()
+				if st.AlertsAccepted+st.AlertsRejected >= 64 {
+					if st.AlertsRejected == 0 {
+						t.Error("no shedding under a stuffed queue")
+					}
+					if st.QueueFull != st.AlertsRejected {
+						t.Errorf("shed rows not counted under QueueFull: %+v", st)
+					}
+					return
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			t.Fatalf("server stalled instead of shedding: %+v", s.Stats())
+		})
 	}
-	t.Fatal("server stalled instead of shedding")
+}
+
+// TestCloseDeliversEveryAcceptedRow closes the server while a sender is
+// still writing: every row counted in AlertsAccepted must have been
+// through the handler by the time Close returns.
+func TestCloseDeliversEveryAcceptedRow(t *testing.T) {
+	for _, proto := range protos {
+		t.Run(proto, func(t *testing.T) {
+			for round := 0; round < 8; round++ {
+				var handled atomic.Int64
+				s, err := ListenBatch(DefaultConfig(), func(b *alert.Batch) { handled.Add(int64(b.Len())) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				send := dialProto(t, s, proto)
+				stop := make(chan struct{})
+				sent := make(chan struct{})
+				go func() {
+					defer close(sent)
+					a := testAlert(1)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if send(&a) != nil && proto == "tcp" {
+							return // the server closed the connection
+						}
+					}
+				}()
+				if !WaitForAccepted(s, 200, 5*time.Second) {
+					t.Fatalf("accepted %d of 200", s.Stats().AlertsAccepted)
+				}
+				s.Close()
+				if st, got := s.Stats(), handled.Load(); int64(st.AlertsAccepted) != got {
+					t.Errorf("round %d: accepted %d rows, handler saw %d", round, st.AlertsAccepted, got)
+				}
+				close(stop)
+				<-sent
+			}
+		})
+	}
 }
 
 // batchCollector gathers alerts delivered through the batch handler,

@@ -70,39 +70,49 @@ func TestRejectReasonsSumToTotal(t *testing.T) {
 }
 
 func TestQueueHighWaterTracksDepth(t *testing.T) {
-	// A handler that blocks until released forces the queue to fill.
-	release := make(chan struct{})
-	cfg := DefaultConfig()
-	cfg.QueueDepth = 4
-	s, err := Listen(cfg, func(a alert.Alert) { <-release })
-	if err != nil {
-		t.Fatal(err)
+	// A handler that blocks until released forces the queue to fill: on
+	// either protocol the high-water mark, QueueLoad and shedding all
+	// count queued rows against QueueDepth.
+	for _, proto := range protos {
+		t.Run(proto, func(t *testing.T) {
+			release := make(chan struct{})
+			cfg := DefaultConfig()
+			cfg.QueueDepth = 4
+			s, err := ListenBatch(cfg, func(*alert.Batch) { <-release })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				close(release)
+				s.Close()
+			}()
+			send := dialProto(t, s, proto)
+			deadline := time.Now().Add(2 * time.Second)
+			for i := 1; time.Now().Before(deadline); i++ {
+				if st := s.Stats(); st.QueueHighWater >= cfg.QueueDepth && st.QueueFull > 0 {
+					break
+				}
+				a := testAlert(uint64(i))
+				if err := send(&a); err != nil {
+					t.Fatal(err)
+				}
+				// Longer than udpFlushInterval, so rows queue one by one
+				// and the queue fills to exactly its depth.
+				time.Sleep(2 * udpFlushInterval)
+			}
+			st := s.Stats()
+			if st.QueueHighWater != cfg.QueueDepth || st.QueueFull == 0 {
+				t.Fatalf("flood never filled the queue: %+v", st)
+			}
+			if depth, capacity := s.QueueLoad(); depth != cfg.QueueDepth || capacity != cfg.QueueDepth {
+				t.Errorf("QueueLoad = %d/%d, want %d/%d", depth, capacity, cfg.QueueDepth, cfg.QueueDepth)
+			}
+			// One batch stuck in the handler plus a full queue.
+			if st.AlertsAccepted > 2*cfg.QueueDepth {
+				t.Errorf("accepted %d rows past a stuck handler with QueueDepth %d", st.AlertsAccepted, cfg.QueueDepth)
+			}
+		})
 	}
-	defer func() {
-		close(release)
-		s.Close()
-	}()
-	c, err := DialUDP(s.UDPAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 1; i <= 12; i++ {
-		a := testAlert(uint64(i))
-		if err := c.Send(&a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		st := s.Stats()
-		if st.QueueHighWater >= cfg.QueueDepth && st.QueueFull > 0 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	st := s.Stats()
-	t.Errorf("flood never filled the queue: %+v", st)
 }
 
 func TestRegisterMetricsMatchesStats(t *testing.T) {

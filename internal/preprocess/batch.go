@@ -38,15 +38,21 @@ func ProcessFunc(cfg Config, topo *topology.Topology, classifier *ftree.Classifi
 			fn(batch)
 		}
 	}
+	// Each tick's alerts are gathered into one reused batch and absorbed
+	// whole right before the tick.
+	var batch alert.Batch
 	next := raw[idx[0]].Time.Add(tick)
 	for _, ix := range idx {
 		a := &raw[ix]
 		for a.Time.After(next) {
+			p.AddBatch(&batch)
+			batch.Reset()
 			emit(p.Tick(next))
 			next = next.Add(tick)
 		}
-		p.Add(*a)
+		batch.Append(a)
 	}
+	p.AddBatch(&batch)
 	end := raw[idx[len(idx)-1]].Time
 	for !next.After(end.Add(cfg.AggWindow)) {
 		emit(p.Tick(next))

@@ -206,9 +206,11 @@ type Preprocessor struct {
 	// capacity persists at the flood high-water mark so steady state
 	// allocates nothing.
 	pending alert.Batch
-	// pendingLin mirrors pending's rows with the lineage assigned at Add;
-	// empty when no recorder is attached.
+	// pendingLin mirrors pending's rows with the lineage assigned at
+	// AddBatch; empty when no recorder is attached.
 	pendingLin []uint64
+	// one is Add's one-row batch.
+	one alert.Batch
 
 	// prov is the optional lineage recorder; nil keeps every provenance
 	// branch off the hot path.
@@ -323,60 +325,49 @@ func (p *Preprocessor) ShardRouted(i int) int { return p.shards[i].routed }
 // Stats returns a snapshot of the volume counters.
 func (p *Preprocessor) Stats() Stats { return p.stats }
 
-// Add buffers one raw alert; all classification and consolidation work
-// happens in the next Tick.
+// Add buffers one raw alert: AddBatch on a one-row batch.
 func (p *Preprocessor) Add(a alert.Alert) {
-	p.stats.In++
-	// Link-alert split (§4.1): "an alert related to a link is split into
-	// two alerts corresponding to the devices it connects". The built-in
-	// monitors already emit per-endpoint alerts; this handles externally
-	// ingested collectors that report one alert per link.
-	if a.CircuitSet != "" && a.Location.IsDevice() && a.Peer.IsDevice() && a.Peer != a.Location {
-		mirrored := a
-		mirrored.Location, mirrored.Peer = a.Peer, a.Location
-		p.pending.Append(&mirrored)
-		if p.prov != nil {
-			p.pendingLin = append(p.pendingLin, p.prov.Ingest(&mirrored, true))
-		}
-	}
-	p.pending.Append(&a)
-	if p.prov != nil {
-		p.pendingLin = append(p.pendingLin, p.prov.Ingest(&a, false))
-	}
+	p.one.Reset()
+	p.one.Append(&a)
+	p.AddBatch(&p.one)
 }
 
-// AddBatch buffers a columnar batch of raw alerts, applying the same
-// link-alert split per row. The batch's rows are copied into the pending
-// columns; the caller may Reset and reuse b immediately.
+// AddBatch buffers a columnar batch of raw alerts; all classification
+// and consolidation work happens in the next Tick. The rows are copied
+// onto the pending columns, so the caller may Reset and reuse b
+// immediately.
+//
+// Link-alert split (§4.1): "an alert related to a link is split into two
+// alerts corresponding to the devices it connects". The built-in
+// monitors already emit per-endpoint alerts; this handles externally
+// ingested collectors that report one alert per link. Such a row is
+// buffered twice — the mirrored half first, then the row itself at the
+// head of the next run — and the runs between are copied column-wise.
 func (p *Preprocessor) AddBatch(b *alert.Batch) {
 	n := b.Len()
-	// With the lineage recorder attached every row needs an individual
-	// Ingest call anyway, so take the per-row path.
-	if p.prov != nil {
-		var a alert.Alert
-		for i := 0; i < n; i++ {
-			b.AlertAt(i, &a)
-			p.Add(a)
-		}
-		return
-	}
 	p.stats.In += n
-	// Bulk path: copy maximal runs of ordinary rows with one memmove per
-	// column, dropping to the per-row splitter only for link alerts
-	// (rare — the built-in monitors already emit per-endpoint alerts).
-	var a alert.Alert
 	lo := 0
 	for i := 0; i < n; i++ {
 		if b.CircuitSet[i] != "" && b.Location[i].IsDevice() && b.Peer[i].IsDevice() &&
 			b.Peer[i] != b.Location[i] {
-			p.pending.AppendRange(b, lo, i)
-			b.AlertAt(i, &a)
-			p.Add(a)
-			p.stats.In-- // Add counted it again
-			lo = i + 1
+			p.appendRun(b, lo, i, false)
+			p.appendRun(b, i, i+1, true)
+			lo = i
 		}
 	}
-	p.pending.AppendRange(b, lo, n)
+	p.appendRun(b, lo, n, false)
+}
+
+// appendRun copies rows [lo, hi) of b onto the pending columns — with
+// the endpoints swapped when the run is the mirrored half of a link
+// alert — and has the lineage recorder, if any, number the new rows.
+func (p *Preprocessor) appendRun(b *alert.Batch, lo, hi int, mirrored bool) {
+	at := p.pending.Len()
+	p.pending.AppendRange(b, lo, hi)
+	if mirrored {
+		p.pending.Location[at], p.pending.Peer[at] = p.pending.Peer[at], p.pending.Location[at]
+	}
+	p.pendingLin = p.prov.IngestRange(p.pendingLin, &p.pending, at, p.pending.Len(), mirrored)
 }
 
 // absorb ingests the pending batch into the aggregate shards: phase A

@@ -417,30 +417,46 @@ func (r *Recorder) record(lid uint64) *LineageRecord {
 	return rec
 }
 
-// Ingest assigns the next lineage ID to a raw alert entering the
-// preprocessor. split marks the mirrored half of a link-alert split.
-func (r *Recorder) Ingest(a *alert.Alert, split bool) uint64 {
-	r.nextLineage++
-	lid := r.nextLineage
-	r.ingested.Add(1)
+// IngestRange assigns the next lineage IDs, in row order, to rows
+// [lo, hi) of b as they enter the preprocessor and appends them to lids.
+// split marks the rows as mirrored halves of a link-alert split. The
+// ledger moves once for the range; only sampled rows write ring detail.
+// A nil recorder assigns nothing and returns lids unchanged.
+func (r *Recorder) IngestRange(lids []uint64, b *alert.Batch, lo, hi int, split bool) []uint64 {
+	if r == nil || lo >= hi {
+		return lids
+	}
+	r.ingested.Add(int64(hi - lo))
 	if split {
-		r.split.Add(1)
+		r.split.Add(int64(hi - lo))
 	}
-	if !r.sampled(lid) {
-		return lid
+	for i := lo; i < hi; i++ {
+		r.nextLineage++
+		lid := r.nextLineage
+		lids = append(lids, lid)
+		if !r.sampled(lid) {
+			continue
+		}
+		// Direct-mapped write; the previous occupant (the sample RingCap
+		// generations older) is evicted by overwrite.
+		r.ring[r.slot(lid)] = LineageRecord{
+			Lineage:  lid,
+			Split:    split,
+			Source:   b.Source[i].String(),
+			Type:     b.Type[i],
+			Location: b.Location[i],
+			Time:     b.Time[i],
+			State:    StatePending,
+		}
 	}
-	// Direct-mapped write; the previous occupant (the sample RingCap
-	// generations older) is evicted by overwrite.
-	r.ring[r.slot(lid)] = LineageRecord{
-		Lineage:  lid,
-		Split:    split,
-		Source:   a.Source.String(),
-		Type:     a.Type,
-		Location: a.Location,
-		Time:     a.Time,
-		State:    StatePending,
-	}
-	return lid
+	return lids
+}
+
+// Ingest is IngestRange for one alert outside a batch.
+func (r *Recorder) Ingest(a *alert.Alert, split bool) uint64 {
+	var b alert.Batch
+	b.Append(a)
+	return r.IngestRange(nil, &b, 0, 1, split)[0]
 }
 
 // SetTemplate records the FT-tree template (classified type) that matched

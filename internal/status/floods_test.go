@@ -22,10 +22,12 @@ func floodedRecorder(t *testing.T) *flood.Recorder {
 	}
 	feed := func(tick uint64, raw int) {
 		batch := make([]alert.Alert, 0, raw)
+		srcs := make([]alert.Source, 0, raw)
 		for i := 0; i < raw; i++ {
-			rec.ObserveRaw(a)
+			srcs = append(srcs, a.Source)
 			batch = append(batch, a)
 		}
+		rec.ObserveRaw(srcs)
 		rec.ObserveTick(epoch.Add(time.Duration(tick)*10*time.Second), tick, batch, nil, nil, nil)
 	}
 	tick := uint64(0)

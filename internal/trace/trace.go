@@ -164,11 +164,6 @@ type ReplayOptions struct {
 	// accumulates per-episode postmortem reports — the data behind
 	// `skynet-replay -floods`. Tick wall latency feeds its Perf section.
 	Flood *flood.Recorder
-	// Columnar routes ingestion through the engine's batch path
-	// (core.Engine.IngestBatch on a reused alert.Batch, flushed before
-	// every tick) instead of per-alert Ingest. Output is identical; the
-	// columnar path is what the ingest listeners feed in production.
-	Columnar bool
 	// History, when set (Telemetry required), samples every registry
 	// metric once per tick into the tick-indexed store — the data behind
 	// `skynet-replay -history`. Configure the store with
@@ -270,9 +265,9 @@ func ReplayWithOptions(alerts []alert.Alert, topo *topology.Topology, engineCfg 
 		if tick <= 0 {
 			tick = 10 * time.Second
 		}
-		// In columnar mode alerts accumulate into a reused batch that is
-		// flushed right before each tick — the same order the per-alert
-		// path ingests them in, so replays are bit-identical either way.
+		// Alerts accumulate into a reused batch that is flushed right
+		// before each tick: core.Engine.IngestBatch, the path the ingest
+		// listeners feed in production.
 		var batch alert.Batch
 		flush := func() {
 			if batch.Len() > 0 {
@@ -287,11 +282,7 @@ func ReplayWithOptions(alerts []alert.Alert, topo *topology.Topology, engineCfg 
 				tickOnce(next)
 				next = next.Add(tick)
 			}
-			if opts.Columnar {
-				batch.Append(&alerts[i])
-			} else {
-				eng.Ingest(alerts[i])
-			}
+			batch.Append(&alerts[i])
 		}
 		flush()
 		end := alerts[len(alerts)-1].Time.Add(engineCfg.Locator.NodeTTL + tick)
