@@ -46,6 +46,22 @@ import (
 // -ldflags "-X main.version=...".
 var version = "dev"
 
+// ingestQueueRows is the ingest queue's depth, derived from time at line
+// rate rather than picked as a row count: the queue is what the readers
+// fill while the dispatcher waits for the engine lock, so it has to hold
+// the longest such stall times what the sockets deliver meanwhile, or the
+// overload contract (shed, don't stall) fires on a flood the engine could
+// have taken. One TCP connection delivers ~700 K rows/s since the JSON
+// scanner (177 K through encoding/json), and the stall is a tick:
+// bench/'s blast_tcp saw the queue 6.2–8.7 K rows deep over ten runs,
+// 9–13 ms at that rate — the same stall that read 3.4–5.0 K rows at the
+// old rate, when 8 192 rows were 46 ms of cover and are 12 ms now. The
+// depth is the power of two that keeps that observed high water under a
+// quarter of it: 65 536 rows, 94 ms at line rate. It bounds rows, not
+// memory held — queued batches are the readers' pooled ones, ~350 B a
+// row while they wait.
+const ingestQueueRows = 1 << 16
+
 func main() {
 	var (
 		tcpAddr  = flag.String("tcp", "127.0.0.1:7070", "TCP listen address (empty disables)")
@@ -251,7 +267,7 @@ func main() {
 		UDPAddr:     *udpAddr,
 		MaxConns:    256,
 		ReadTimeout: 5 * time.Minute,
-		QueueDepth:  8192,
+		QueueDepth:  ingestQueueRows,
 		Logger:      log,
 	}, func(b *alert.Batch) {
 		engineMu.Lock()

@@ -1,9 +1,12 @@
 package alert
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"skynet/internal/hierarchy"
 )
@@ -156,5 +159,54 @@ func TestWireScratchCapResets(t *testing.T) {
 	}
 	if len(sc.strs) >= wireScratchMaxEntries {
 		t.Errorf("cache did not reset at cap: %d entries", len(sc.strs))
+	}
+}
+
+// Allocation pin for the JSON Lines scanner, the same shape as the
+// wire-scratch pin above: once a WireScratch has seen a line's strings,
+// re-decoding lines built from the same vocabulary into a reused batch
+// stays off the heap — escaped strings (json.Marshal writes '<' and '&'
+// as \u escapes) and a numeric zone offset included. This is what keeps a
+// TCP connection allocation-free through a flood.
+func TestJSONScratchDecodeAllocFree(t *testing.T) {
+	var lines [][]byte
+	for _, wl := range wireTestLines(t) {
+		a, err := ParseWire(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Raw += " <b>&</b> \"quoted\"\n"
+		a.Time = a.Time.In(time.FixedZone("", 8*3600))
+		l, err := json.Marshal(&a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, l)
+	}
+	var sc WireScratch
+	var b Batch
+	fill := func() {
+		b.Reset()
+		for _, l := range lines {
+			if err := b.AppendJSON(l, &sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill() // warm the intern caches, grow the columns once
+	if avg := testing.AllocsPerRun(100, fill); avg != 0 {
+		t.Errorf("warm AppendJSON cycle allocates %.1f times per run, want 0 (%d rows)", avg, len(lines))
+	}
+	d := NewDecoder(bytes.NewReader(bytes.Repeat(append(lines[0], '\n'), 300)))
+	var a Alert
+	if err := d.Decode(&a); err != nil { // warm
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if err := d.Decode(&a); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("warm Decoder.Decode allocates %.1f times per alert, want 0", avg)
 	}
 }

@@ -50,41 +50,73 @@ func (e *Encoder) Encode(a *Alert) error {
 // Flush flushes buffered output to the underlying writer.
 func (e *Encoder) Flush() error { return e.w.Flush() }
 
-// Decoder reads JSON Lines alerts from an underlying reader.
-// It is not safe for concurrent use.
-type Decoder struct {
+// Lines frames a JSON Lines stream: it yields one non-blank line at a
+// time, which the caller decodes with Batch.AppendJSON. It is not safe
+// for concurrent use.
+type Lines struct {
 	s *bufio.Scanner
+}
+
+// NewLines returns a line framer reading from r. Its buffer is one
+// maximal line, MaxLineBytes, from the start: a line that does not fit
+// fails with ErrLineTooLong, and every Read it issues asks for all the
+// room left in the buffer — up to 64 KB per syscall on a socket with a
+// backlog, rather than a buffer that grows from 4 KB only when a single
+// line demands it.
+func NewLines(r io.Reader) *Lines {
+	s := bufio.NewScanner(r)
+	s.Buffer(make([]byte, MaxLineBytes), MaxLineBytes)
+	return &Lines{s: s}
+}
+
+// Next returns the next non-blank line with surrounding white space
+// trimmed, or io.EOF at end of input. The slice aliases the framer's
+// buffer and is valid until the next call.
+func (l *Lines) Next() ([]byte, error) {
+	for l.s.Scan() {
+		if line := bytes.TrimSpace(l.s.Bytes()); len(line) > 0 {
+			return line, nil
+		}
+	}
+	if err := l.s.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, ErrLineTooLong
+		}
+		return nil, fmt.Errorf("alert: read line: %w", err)
+	}
+	return nil, io.EOF
+}
+
+// Decoder reads JSON Lines alerts from an underlying reader, one Alert
+// at a time — trace files and tests; the ingest path decodes Lines
+// straight into its batches. It is not safe for concurrent use.
+type Decoder struct {
+	lines *Lines
+	row   Batch // the one row Decode scans into
+	sc    WireScratch
 }
 
 // NewDecoder returns a Decoder reading from r. Lines longer than
 // MaxLineBytes cause Decode to fail.
 func NewDecoder(r io.Reader) *Decoder {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 4096), MaxLineBytes)
-	return &Decoder{s: s}
+	return &Decoder{lines: NewLines(r)}
 }
 
 // Decode reads the next alert. It returns io.EOF at end of input and skips
 // blank lines.
 func (d *Decoder) Decode(a *Alert) error {
-	for d.s.Scan() {
-		line := bytes.TrimSpace(d.s.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		*a = Alert{}
-		if err := json.Unmarshal(line, a); err != nil {
-			return fmt.Errorf("alert: decode: %w", err)
-		}
-		return nil
+	line, err := d.lines.Next()
+	if err != nil {
+		return err
 	}
-	if err := d.s.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return ErrLineTooLong
-		}
+	d.row.Reset()
+	id, err := d.row.appendJSON(line, &d.sc)
+	if err != nil {
 		return fmt.Errorf("alert: decode: %w", err)
 	}
-	return io.EOF
+	d.row.AlertAt(0, a)
+	a.ID = id
+	return nil
 }
 
 // ReadAll decodes every alert from r. It is a convenience for tests and

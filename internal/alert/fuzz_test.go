@@ -2,6 +2,7 @@ package alert
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -83,10 +84,7 @@ func FuzzWireBatchDecode(f *testing.F) {
 			t.Fatalf("accepted frame left %d rows, want 2", b.Len())
 		}
 		// Column lengths must stay in lockstep either way.
-		n := b.Len()
-		if len(b.End) != n || len(b.Source) != n || len(b.Type) != n || len(b.Class) != n ||
-			len(b.Location) != n || len(b.Peer) != n || len(b.Value) != n || len(b.Count) != n ||
-			len(b.CircuitSet) != n || len(b.Raw) != n || len(b.PID) != n || len(b.TID) != n || len(b.CS) != n {
+		if !columnsInLockstep(&b) {
 			t.Fatalf("ragged columns after decode of %q", data)
 		}
 		if err != nil {
@@ -102,5 +100,32 @@ func FuzzWireBatchDecode(f *testing.F) {
 		if !alertEqual(&got, &want) {
 			t.Fatalf("columnar decode diverges from ParseWire (or aliased the buffer):\n got:  %+v\n want: %+v\n in: %q", got, want, data)
 		}
+	})
+}
+
+// FuzzJSONBatchDecode holds the JSON Lines scanner to its contract (top
+// of jsonscan.go) on arbitrary bytes, with json.Unmarshal into Alert as
+// the oracle: both reject, or both accept with every field equal; a
+// rejected line leaves the batch as it was; columns stay in lockstep; and
+// no column aliases the (clobbered) input buffer.
+func FuzzJSONBatchDecode(f *testing.F) {
+	a := testAlert()
+	a.Raw, a.CircuitSet = "<ping> loss & \"jitter\"\n", "cs-1"
+	enc, err := json.Marshal(&a)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	f.Add([]byte(`{"source":"ping","type":"packet loss","class":"failure","time":"2024-02-29T11:00:00.5+08:00","end":"2024-07-31T11:00:00Z","location":"R|C|L|S|K|d","peer":"","value":-1.5e-3,"count":7,"id":9}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(` null `))
+	f.Add([]byte(`{"location":"a||b"}`))
+	f.Add([]byte(`{"x":{"y":[1,true,null,"\ud83d\ude00"]},"TYPE":"t","type":null,"count":1e3}`))
+	f.Add([]byte(`{"raw":"\ud800 \/ \t","time":"2024-07-02T11:00:60Z"}`))
+	f.Add([]byte("{\"raw\":\"\xff cut \xe6\x97\"}"))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sc WireScratch
+		checkJSONAgainstOracle(t, data, &sc)
 	})
 }

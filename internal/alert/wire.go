@@ -44,18 +44,17 @@ func parseWireLoc(s string) (hierarchy.Path, error) {
 	return hierarchy.New(segs[:n]...)
 }
 
-// escapeWire makes free-text fields safe for the pipe-delimited format:
+// wireEscaper makes free-text fields safe for the pipe-delimited format:
 // "|" and newlines are replaced with visually similar characters rather
-// than escaped, keeping parsing allocation-free and unambiguous.
+// than escaped, so the decoder takes every field as it stands.
+var wireEscaper = strings.NewReplacer("|", "¦", "\n", " ", "\r", " ")
+
 func escapeWire(s string) string {
 	if !strings.ContainsAny(s, "|\n\r") {
 		return s
 	}
-	r := strings.NewReplacer("|", "¦", "\n", " ", "\r", " ")
-	return r.Replace(s)
+	return wireEscaper.Replace(s)
 }
-
-func unescapeWire(s string) string { return s }
 
 // parseSourceBytes is ParseSource without the string materialization:
 // the comparison against each known name is allocation-free, so a
@@ -84,23 +83,25 @@ func parseClassBytes(b []byte) (Class, error) {
 // forever.
 const wireScratchMaxEntries = 1 << 16
 
-// WireScratch is a caller-owned decode cache for the compact wire
-// format. Alert streams are massively repetitive — the same few dozen
-// type names, locations, and (during a flood) even raw lines recur on
-// every datagram — so the scratch interns decoded strings and parsed
-// locations keyed by their wire bytes. A cache hit costs a map lookup
-// and zero allocations; only the first sighting of a value pays the
-// string materialization the reused socket buffer forces. Not safe for
+// WireScratch is a caller-owned decode cache for both line formats.
+// Alert streams are massively repetitive — the same few dozen type
+// names, locations, and (during a flood) even raw lines recur on every
+// line — so the scratch interns decoded strings and parsed locations
+// keyed by their bytes on the wire. A cache hit costs a map lookup and
+// zero allocations; only the first sighting of a value pays the string
+// materialization the reused socket buffer forces. Not safe for
 // concurrent use: each reader goroutine owns one.
 type WireScratch struct {
 	strs map[string]string
-	locs map[string]hierarchy.Path
+	// Locations are cached per text form: "a/b" is two segments in the
+	// pipe format and one in JSON, where "|" separates.
+	wireLocs map[string]hierarchy.Path
+	jsonLocs map[string]hierarchy.Path
+	// unquoted holds the JSON string being unescaped.
+	unquoted []byte
 }
 
-// str returns the interned copy of b. The cache is keyed by the
-// unescaped value, which equals the raw bytes while unescapeWire is the
-// identity; if that ever changes, escaped inputs simply stop caching —
-// they never return a wrong value.
+// str returns the interned copy of b.
 func (sc *WireScratch) str(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -111,46 +112,56 @@ func (sc *WireScratch) str(b []byte) string {
 	if sc.strs == nil || len(sc.strs) >= wireScratchMaxEntries {
 		sc.strs = make(map[string]string, 64)
 	}
-	v := unescapeWire(string(b))
+	v := string(b)
 	sc.strs[v] = v
 	return v
 }
 
-// loc returns the parsed and cached location for wire field b.
-func (sc *WireScratch) loc(b []byte) (hierarchy.Path, error) {
+// cachedLoc returns the location whose text form is b, parsing it on
+// first sight and remembering it in *cache.
+func cachedLoc(cache *map[string]hierarchy.Path, b []byte, parse func(string) (hierarchy.Path, error)) (hierarchy.Path, error) {
 	if len(b) == 0 {
 		return hierarchy.Root(), nil
 	}
-	if p, ok := sc.locs[string(b)]; ok {
+	if p, ok := (*cache)[string(b)]; ok {
 		return p, nil
 	}
-	p, err := parseWireLoc(string(b))
+	text := string(b)
+	p, err := parse(text)
 	if err != nil {
 		return p, err
 	}
-	if sc.locs == nil || len(sc.locs) >= wireScratchMaxEntries {
-		sc.locs = make(map[string]hierarchy.Path, 64)
+	if *cache == nil || len(*cache) >= wireScratchMaxEntries {
+		*cache = make(map[string]hierarchy.Path, 64)
 	}
-	sc.locs[string(b)] = p
+	(*cache)[text] = p
 	return p, nil
 }
 
-// wireString materializes a free-text wire field, through the scratch
-// cache when one is supplied.
+// wireString materializes a free-text field, through the scratch cache
+// when one is supplied.
 func wireString(b []byte, sc *WireScratch) string {
 	if sc != nil {
 		return sc.str(b)
 	}
-	return unescapeWire(string(b))
+	return string(b)
 }
 
-// wireLoc parses a location wire field, through the scratch cache when
-// one is supplied.
+// wireLoc parses a "/"-separated location field, through the scratch
+// cache when one is supplied.
 func wireLoc(b []byte, sc *WireScratch) (hierarchy.Path, error) {
 	if sc != nil {
-		return sc.loc(b)
+		return cachedLoc(&sc.wireLocs, b, parseWireLoc)
 	}
 	return parseWireLoc(string(b))
+}
+
+// jsonLoc is wireLoc for the JSON form, hierarchy.Path's text encoding.
+func jsonLoc(b []byte, sc *WireScratch) (hierarchy.Path, error) {
+	if sc != nil {
+		return cachedLoc(&sc.jsonLocs, b, hierarchy.Parse)
+	}
+	return hierarchy.Parse(string(b))
 }
 
 func appendInt(dst []byte, v int64) []byte { return strconv.AppendInt(dst, v, 10) }

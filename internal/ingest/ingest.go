@@ -160,8 +160,8 @@ func Listen(cfg Config, handler Handler) (*Server, error) {
 }
 
 // ListenBatch starts the configured listeners and the dispatch
-// goroutine. TCP alerts are JSON-decoded and UDP datagrams wire-decoded
-// (Batch.AppendWireScratch, no intermediate Alert) on their reader's
+// goroutine. TCP lines and UDP datagrams are decoded (Batch.AppendJSON,
+// Batch.AppendWireScratch — no intermediate Alert) on their reader's
 // goroutine, straight into the batch the handler will see. Per TCP
 // connection and per UDP socket the handler sees rows in arrival order.
 func ListenBatch(cfg Config, handler BatchHandler) (*Server, error) {
@@ -433,9 +433,14 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn reads JSON Lines alerts from one TCP connection. The batch
-// is flushed when full and, through connReader, whenever the decoder has
-// used up what the socket gave it and goes back for more — no timer.
+// serveConn reads JSON Lines alerts from one TCP connection, each line
+// decoded straight into batch columns (Batch.AppendJSON) through the
+// connection's own WireScratch. The batch is flushed when full and,
+// through connReader, whenever the framer has used up what the socket
+// gave it and goes back for more — no timer. That flush runs inside
+// lines.Next, so the batch to decode into is taken only once the next
+// line is in hand: a batch fetched before it may already be the
+// dispatcher's.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.readers.Done()
 	r := reader{s: s}
@@ -446,12 +451,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := alert.NewDecoder(&connReader{conn: conn, timeout: s.cfg.ReadTimeout, beforeRead: r.flush})
+	lines := alert.NewLines(&connReader{conn: conn, timeout: s.cfg.ReadTimeout, beforeRead: r.flush})
+	var sc alert.WireScratch
 	for {
-		var a alert.Alert
-		err := dec.Decode(&a)
+		line, err := lines.Next()
 		if errors.Is(err, io.EOF) {
 			return
+		}
+		var b *alert.Batch
+		if err == nil {
+			b = r.batch()
+			err = b.AppendJSON(line, &sc)
 		}
 		if err != nil {
 			if s.ctx.Err() == nil {
@@ -460,15 +470,26 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.reject(rejectTCPDecode, 1)
 			return
 		}
-		if verr := a.Validate(); verr != nil && a.Source != alert.SourceSyslog {
+		if s.dropInvalid(b) {
 			s.reject(rejectTCPInvalid, 1)
 			continue
 		}
-		r.batch().Append(&a)
-		if r.rows() >= s.batchRows {
+		if b.Len() >= s.batchRows {
 			r.flush()
 		}
 	}
+}
+
+// dropInvalid validates the row a reader has just decoded and removes it
+// again when it fails. Raw syslog lines are exempt: they get their type
+// from the preprocessor's classifier.
+func (s *Server) dropInvalid(b *alert.Batch) bool {
+	i := b.Len() - 1
+	if b.Source[i] == alert.SourceSyslog || b.ValidateRow(i) == nil {
+		return false
+	}
+	b.DropLast()
+	return true
 }
 
 // udpLoop reads one compact-format alert per datagram, decoded straight
@@ -508,12 +529,9 @@ func (s *Server) udpLoop() {
 			s.reject(rejectUDPParse, 1)
 			continue
 		}
-		if i := b.Len() - 1; b.Source[i] != alert.SourceSyslog {
-			if verr := b.ValidateRow(i); verr != nil {
-				b.DropLast()
-				s.reject(rejectUDPInvalid, 1)
-				continue
-			}
+		if s.dropInvalid(b) {
+			s.reject(rejectUDPInvalid, 1)
+			continue
 		}
 		if b.Len() >= s.batchRows {
 			r.flush()

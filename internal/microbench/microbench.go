@@ -6,6 +6,7 @@
 package microbench
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -99,6 +100,7 @@ var suite = []struct {
 	{"ftree_classify", benchFTreeClassify},
 	{"wire_codec", benchWireCodec},
 	{"wire_codec_scratch", benchWireCodecScratch},
+	{"json_codec", benchJSONCodec},
 	{"fanout_publish", benchFanoutPublish},
 	{"fanout_delta_encode", benchFanoutDeltaEncode},
 }
@@ -503,6 +505,36 @@ func benchWireCodec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf = alert.AppendWire(buf[:0], &a)
 		if _, err := alert.ParseWire(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchJSONCodec is the TCP ingest decode: one JSON Lines alert, as the
+// Encoder writes it, scanned into a reused batch through a warm
+// WireScratch. Decode only — the daemon never encodes, and json.Marshal
+// would be most of a round trip.
+func benchJSONCodec(b *testing.B) {
+	a := alert.Alert{
+		Source: alert.SourcePing, Type: alert.TypePacketLoss, Class: alert.ClassFailure,
+		Time: benchEpoch, End: benchEpoch.Add(time.Minute),
+		Location: hierarchy.MustNew("RG01", "CT01", "LS01", "ST01", "CL01", "dev-1"),
+		Value:    0.25, Count: 3, Raw: "Packet loss 25.0% to peer",
+	}
+	var buf bytes.Buffer
+	if err := alert.WriteAll(&buf, []alert.Alert{a}); err != nil {
+		b.Fatal(err)
+	}
+	line := bytes.TrimSpace(buf.Bytes())
+	var sc alert.WireScratch
+	var batch alert.Batch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if batch.Len() == 512 {
+			batch.Reset()
+		}
+		if err := batch.AppendJSON(line, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}

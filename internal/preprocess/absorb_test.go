@@ -3,6 +3,7 @@ package preprocess
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -138,6 +139,158 @@ func TestAddBatchAllocFree(t *testing.T) {
 		absorb() // grow the pending columns once
 		if avg := testing.AllocsPerRun(100, absorb); avg != 0 {
 			t.Errorf("recorder attached=%v: warm AddBatch allocates %.1f times per run, want 0", rec != nil, avg)
+		}
+	}
+}
+
+// TestAbsorbChunkingInvariance feeds one flood-sized row sequence three
+// ways — each tick's rows as one batch, as 512-row batches (the ingest
+// readers' flush size) and as one-row Add calls — with tick segments that
+// fall short of, land on and straddle maxPending, so the early absorbs
+// cut the sequence in different places every time. Tick output (IDs
+// included), Stats, the provenance ledger and ShardRouted must not
+// depend on the cuts, at workers {1, 2, 4, 8}; and the pending columns
+// never hold more than maxPending rows.
+func TestAbsorbChunkingInvariance(t *testing.T) {
+	classifier, err := BootstrapClassifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows cycle over 97 devices × a layout with link alerts (split in
+	// two), classifiable and unclassifiable syslog, and traffic drops
+	// (held for corroboration), so every absorb branch runs on both
+	// sides of a cut.
+	segments := []int{2*maxPending + 100, 300, maxPending - 1, maxPending, maxPending + 1, 0, 5}
+	const layout = "oolospdoou"
+	var ticks [][]alert.Alert
+	at, n := epoch, 0
+	for _, size := range segments {
+		rows := make([]alert.Alert, size)
+		for i := range rows {
+			loc := devLoc.Parent().MustChild(fmt.Sprintf("dev-%d", n%97))
+			a := raw(alert.SourceSNMP, alert.TypeLinkDown, at.Add(time.Duration(i)*time.Millisecond), loc, float64(n%7))
+			switch layout[n%len(layout)] {
+			case 'l':
+				a.Peer, a.CircuitSet = devLocB, fmt.Sprintf("cs-%d", n%5)
+			case 'p':
+				a.Source, a.Type, a.Class = alert.SourcePing, alert.TypePacketLoss, alert.ClassFailure
+				a.Value = 0.01 * float64(n%9)
+			case 'd':
+				a.Source, a.Type, a.Class = alert.SourceTraffic, alert.TypeTrafficDrop, alert.ClassAbnormal
+			case 's':
+				a = alert.Alert{Source: alert.SourceSyslog, Time: a.Time, End: a.Time, Location: loc, Count: 1,
+					Raw: "%LINK-3-UPDOWN: Interface TenGigE0/9/0/1, changed state to down (cut)"}
+			case 'u':
+				a = alert.Alert{Source: alert.SourceSyslog, Time: a.Time, End: a.Time, Location: loc, Count: 1,
+					Raw: "no template matches this line"}
+			}
+			rows[i] = a
+			n++
+		}
+		ticks = append(ticks, rows)
+		at = at.Add(10 * time.Second)
+	}
+	type feed func(p *Preprocessor, rows []alert.Alert)
+	batches := func(size int) feed {
+		return func(p *Preprocessor, rows []alert.Alert) {
+			var b alert.Batch
+			for lo := 0; lo < len(rows); lo += size {
+				b.Reset()
+				for i := lo; i < min(lo+size, len(rows)); i++ {
+					b.Append(&rows[i])
+				}
+				p.AddBatch(&b)
+				if d := p.PendingDepth(); d >= maxPending {
+					t.Fatalf("pending depth %d after AddBatch, want < %d", d, maxPending)
+				}
+			}
+		}
+	}
+	feeds := []struct {
+		name string
+		feed feed
+	}{
+		{"one batch per tick", batches(1 << 30)},
+		{"512-row batches", batches(512)},
+		{"one-row Adds", func(p *Preprocessor, rows []alert.Alert) {
+			for i := range rows {
+				p.Add(rows[i])
+			}
+		}},
+	}
+	run := func(workers int, f feed) (out string, routed [][]int, stats Stats, ledger provenance.Counters) {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		p := New(cfg, nil, classifier)
+		rec := provenance.New(provenance.Config{})
+		p.EnableProvenance(rec)
+		var sb strings.Builder
+		now := epoch
+		for _, rows := range ticks {
+			f(p, rows)
+			now = now.Add(10 * time.Second)
+			for _, a := range p.Tick(now) {
+				fmt.Fprintf(&sb, "%+v\n", a)
+			}
+			perShard := make([]int, p.Workers())
+			for s := range perShard {
+				perShard[s] = p.ShardRouted(s)
+			}
+			routed = append(routed, perShard)
+		}
+		for _, a := range p.Drain(now.Add(time.Minute)) {
+			fmt.Fprintf(&sb, "%+v\n", a)
+		}
+		return sb.String(), routed, p.Stats(), rec.Counters()
+	}
+	refOut, refRouted, refStats, refLedger := run(1, feeds[0].feed)
+	if refStats.Out == 0 || refStats.Deduplicated == 0 || refStats.DroppedUnclassified == 0 {
+		t.Fatalf("reference run exercised too little: %+v", refStats)
+	}
+	// Every row of a tick is routed in that tick, wherever it was absorbed:
+	// link alerts count twice, unclassifiable syslog not at all.
+	for i, rows := range ticks {
+		want := 0
+		for j := range rows {
+			switch {
+			case rows[j].CircuitSet != "":
+				want += 2
+			case rows[j].Source != alert.SourceSyslog || strings.HasPrefix(rows[j].Raw, "%"):
+				want++
+			}
+		}
+		if got := refRouted[i][0]; got != want {
+			t.Errorf("tick %d: %d rows routed, want %d", i, got, want)
+		}
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		var wantRouted [][]int
+		for _, f := range feeds {
+			out, routed, stats, ledger := run(workers, f.feed)
+			if out != refOut {
+				t.Errorf("workers=%d, %s: tick output diverged from the reference", workers, f.name)
+			}
+			if stats != refStats {
+				t.Errorf("workers=%d, %s: stats %+v, want %+v", workers, f.name, stats, refStats)
+			}
+			if ledger != refLedger {
+				t.Errorf("workers=%d, %s: provenance ledger %+v, want %+v", workers, f.name, ledger, refLedger)
+			}
+			if wantRouted == nil {
+				wantRouted = routed
+			}
+			if !reflect.DeepEqual(routed, wantRouted) {
+				t.Errorf("workers=%d, %s: ShardRouted %v, want %v", workers, f.name, routed, wantRouted)
+			}
+			for i := range routed {
+				sum := 0
+				for _, r := range routed[i] {
+					sum += r
+				}
+				if sum != refRouted[i][0] {
+					t.Errorf("workers=%d, %s, tick %d: %d rows routed across shards, want %d", workers, f.name, i, sum, refRouted[i][0])
+				}
+			}
 		}
 	}
 }

@@ -164,7 +164,10 @@ type preShard struct {
 	// per-tick scratch, merged into Stats serially after each phase
 	newAggs []*aggregate
 	dedup   int
-	routed  int // batch alerts consolidated into this shard last Tick
+	// routing counts the rows consolidated into this shard by every absorb
+	// since the last Tick; Tick publishes it as routed and restarts it.
+	routing int
+	routed  int
 	deleted int // sweep deletions pending key-list compaction
 
 	// aggFree recycles swept aggregate structs so steady-state churn
@@ -193,18 +196,31 @@ type chunkScratch struct {
 	droppedUnclassified int
 }
 
-// Preprocessor is the streaming §4.1 stage. Add and Tick must be called
-// from one goroutine (the engine loop); Tick internally fans work out to
-// Config.Workers goroutines.
+// maxPending bounds the pending columns: AddBatch absorbs them into the
+// aggregate shards as soon as this many rows wait, instead of keeping a
+// whole tick's raw alerts for Tick. A flood delivers 10⁵ rows between two
+// ticks; holding them costs ~350 B of column memory each, and absorbing
+// them all at once is an O(raw alerts) pass inside the tick, while the
+// ingest queue fills behind the engine lock. 8 192 rows keep the columns
+// near 3 MB and one absorb near a millisecond, and are still enough rows
+// per fan-out that the workers' fork/join cost is noise. Absorbing is
+// the same work in the same arrival order whenever it runs, and nothing
+// between two sweeps reads the shards, so where the cuts fall cannot
+// change what Tick emits (TestAbsorbChunkingInvariance).
+const maxPending = 8192
+
+// Preprocessor is the streaming §4.1 stage. Add, AddBatch and Tick must
+// be called from one goroutine at a time (the engine lock); absorbing
+// fans work out to Config.Workers goroutines.
 type Preprocessor struct {
 	cfg        Config
 	topo       *topology.Topology
 	classifier *ftree.Classifier
 	workers    int
 
-	// pending buffers raw alerts between Ticks in columnar form; column
-	// capacity persists at the flood high-water mark so steady state
-	// allocates nothing.
+	// pending buffers raw alerts until the next absorb, in columnar form
+	// and never more than maxPending of them; column capacity persists so
+	// steady state allocates nothing.
 	pending alert.Batch
 	// pendingLin mirrors pending's rows with the lineage assigned at
 	// AddBatch; empty when no recorder is attached.
@@ -311,15 +327,16 @@ func (p *Preprocessor) SetSpans(sc span.Scope) { p.spans = sc }
 // what the preprocessor emits.
 func (p *Preprocessor) SetProf(l *prof.Labeler) { p.profL = l }
 
-// PendingDepth reports the number of raw alerts buffered since the last
-// Tick — the preprocessor's queue depth.
+// PendingDepth reports the number of raw alerts buffered and not yet
+// absorbed — the preprocessor's queue depth, below maxPending.
 func (p *Preprocessor) PendingDepth() int { return p.pending.Len() }
 
 // ShardAggregates reports the live aggregate count of one shard.
 func (p *Preprocessor) ShardAggregates(i int) int { return p.shards[i].live }
 
-// ShardRouted reports how many batch alerts the last Tick consolidated
-// into shard i.
+// ShardRouted reports how many raw alerts were consolidated into shard i
+// for the last Tick: by that Tick's own absorb and by every AddBatch
+// absorb since the Tick before.
 func (p *Preprocessor) ShardRouted(i int) int { return p.shards[i].routed }
 
 // Stats returns a snapshot of the volume counters.
@@ -332,10 +349,10 @@ func (p *Preprocessor) Add(a alert.Alert) {
 	p.AddBatch(&p.one)
 }
 
-// AddBatch buffers a columnar batch of raw alerts; all classification
-// and consolidation work happens in the next Tick. The rows are copied
-// onto the pending columns, so the caller may Reset and reuse b
-// immediately.
+// AddBatch buffers a columnar batch of raw alerts; classification and
+// consolidation happen when maxPending rows wait or at the next Tick,
+// whichever comes first. The rows are copied onto the pending columns,
+// so the caller may Reset and reuse b immediately.
 //
 // Link-alert split (§4.1): "an alert related to a link is split into two
 // alerts corresponding to the devices it connects". The built-in
@@ -361,26 +378,36 @@ func (p *Preprocessor) AddBatch(b *alert.Batch) {
 // appendRun copies rows [lo, hi) of b onto the pending columns — with
 // the endpoints swapped when the run is the mirrored half of a link
 // alert — and has the lineage recorder, if any, number the new rows.
+// Whenever the pending columns reach maxPending they are absorbed, here
+// and not in a tick: no span is opened and no profiler label set, because
+// the tick's span.Scope is stale and the labeler belongs to the ticking
+// goroutine.
 func (p *Preprocessor) appendRun(b *alert.Batch, lo, hi int, mirrored bool) {
-	at := p.pending.Len()
-	p.pending.AppendRange(b, lo, hi)
-	if mirrored {
-		p.pending.Location[at], p.pending.Peer[at] = p.pending.Peer[at], p.pending.Location[at]
+	for lo < hi {
+		at := p.pending.Len()
+		cut := min(hi, lo+maxPending-at)
+		p.pending.AppendRange(b, lo, cut)
+		if mirrored {
+			p.pending.Location[at], p.pending.Peer[at] = p.pending.Peer[at], p.pending.Location[at]
+		}
+		p.pendingLin = p.prov.IngestRange(p.pendingLin, &p.pending, at, p.pending.Len(), mirrored)
+		if p.pending.Len() == maxPending {
+			p.absorb(span.Scope{}, nil)
+		}
+		lo = cut
 	}
-	p.pendingLin = p.prov.IngestRange(p.pendingLin, &p.pending, at, p.pending.Len(), mirrored)
 }
 
 // absorb ingests the pending batch into the aggregate shards: phase A
 // classifies and normalizes every alert in parallel, a serial pass
 // interns IDs and collects corroboration evidence, and phase B
 // consolidates each shard's alerts in arrival order under a single
-// owner.
-func (p *Preprocessor) absorb() {
+// owner. The two fan-outs appear as children of spans and run under
+// profL's stage labels; the zero Scope and a nil labeler make both
+// no-ops.
+func (p *Preprocessor) absorb(spans span.Scope, profL *prof.Labeler) {
 	n := p.pending.Len()
 	if n == 0 {
-		for s := range p.shards {
-			p.shards[s].routed = 0
-		}
 		return
 	}
 	if cap(p.prep) < n {
@@ -395,8 +422,8 @@ func (p *Preprocessor) absorb() {
 	// cannot reorder or race anything.
 	chunkSize := (n + p.workers - 1) / p.workers
 	nchunks := (n + chunkSize - 1) / chunkSize
-	cf := p.spans.Fork("classify", nchunks)
-	p.profL.Enter(prof.StageClassify)
+	cf := spans.Fork("classify", nchunks)
+	profL.Enter(prof.StageClassify)
 	par.DoTimed(p.workers, nchunks, cf.Timer(), func(c int) {
 		lo, hi := c*chunkSize, (c+1)*chunkSize
 		if hi > n {
@@ -412,7 +439,7 @@ func (p *Preprocessor) absorb() {
 			p.prepareRow(i, &p.prep[i], scratch)
 		}
 	})
-	p.profL.Exit()
+	profL.Exit()
 	// Serial pass: intern IDs into the batch's dense-ID columns
 	// (single-writer tables), route to shards, record corroboration
 	// evidence (max observation time per location), resolve phase-A
@@ -465,11 +492,11 @@ func (p *Preprocessor) absorb() {
 	// aggregate sees its observations in arrival order — exactly the
 	// serial semantics. Merges read only the scalar columns; a full
 	// Alert is materialized once per new aggregate, not per row.
-	sf := p.spans.Fork("consolidate", nshards)
-	p.profL.Enter(prof.StageConsolidate)
+	sf := spans.Fork("consolidate", nshards)
+	profL.Enter(prof.StageConsolidate)
 	par.DoTimed(p.workers, nshards, sf.Timer(), func(s int) {
 		shard := &p.shards[s]
-		shard.dedup, shard.routed = 0, 0
+		shard.dedup = 0
 		shard.newAggs = shard.newAggs[:0]
 		// Cover every PathID interned by the serial pass. byPid is
 		// shard-local, so this grow cannot race other workers.
@@ -481,7 +508,7 @@ func (p *Preprocessor) absorb() {
 			if it.drop || int(it.shard) != s {
 				continue
 			}
-			shard.routed++
+			shard.routing++
 			p.consolidate(shard, i, it)
 		}
 		if len(shard.newAggs) > 0 {
@@ -489,7 +516,7 @@ func (p *Preprocessor) absorb() {
 			shard.keys = mergeSortedAggs(shard.keys, shard.newAggs)
 		}
 	})
-	p.profL.Exit()
+	profL.Exit()
 	for s := range p.shards {
 		p.stats.Deduplicated += p.shards[s].dedup
 		if len(p.shards[s].provAbsorbed) > 0 {
@@ -602,7 +629,7 @@ func (p *Preprocessor) classify(raw string) (string, bool) {
 	return p.classifier.ClassifyLine(raw)
 }
 
-// Tick ingests the buffered batch and returns the structured alerts
+// Tick absorbs whatever is still pending and returns the structured alerts
 // emitted at now: new aggregates that pass the filters, refreshes of
 // long-running aggregates, and corroborated traffic drops. Expired
 // aggregates are garbage collected.
@@ -613,7 +640,10 @@ func (p *Preprocessor) Tick(now time.Time) []alert.Alert {
 	if p.prov != nil {
 		p.prov.BeginEmitWindow()
 	}
-	p.absorb()
+	p.absorb(p.spans, p.profL)
+	for s := range p.shards {
+		p.shards[s].routed, p.shards[s].routing = p.shards[s].routing, 0
+	}
 	// Sweep aggregates in one global lessAggKey order (a k-way merge of
 	// the shards' sorted key lists) so emission order, assigned IDs, and
 	// the related-surge decisions are identical for every worker count.
@@ -818,7 +848,7 @@ func (p *Preprocessor) Drain(now time.Time) []alert.Alert {
 	if p.prov != nil {
 		p.prov.BeginEmitWindow()
 	}
-	p.absorb()
+	p.absorb(p.spans, p.profL)
 	p.emitBuf = p.emitBuf[:0]
 	p.sweep(now, func(shard *preShard, g *aggregate) {
 		if !g.emitted && !g.suspended && !p.isSporadic(g) {

@@ -239,7 +239,10 @@ func TestConcurrentScrapeWhileIngesting(t *testing.T) {
 	wg.Wait()
 
 	// The funnel numbers on /metrics and /api/stats come from the same
-	// structs; after quiescing they must agree.
+	// structs; after quiescing they must agree. Quiescing includes the
+	// listener: datagrams still queued in it would reach the engine
+	// between the two reads below.
+	srv.Close()
 	mu.Lock()
 	raw := eng.RawIngested()
 	mu.Unlock()
