@@ -415,8 +415,8 @@ func main() {
 			total := len(engine.AllIncidents())
 			engineMu.Unlock()
 			srvStats := srv.Stats()
-			fmt.Printf("ingested %d alerts (%d rejected, %d shed), %d structured, queue high water %d\n",
-				srvStats.AlertsAccepted, srvStats.AlertsRejected, srvStats.QueueFull, stats.Out, srvStats.QueueHighWater)
+			fmt.Printf("ingested %d alerts (%d rejected, %d shed, %d datagrams dropped by the kernel), %d structured, queue high water %d\n",
+				srvStats.AlertsAccepted, srvStats.AlertsRejected, srvStats.QueueFull, srvStats.UDPKernelDrops, stats.Out, srvStats.QueueHighWater)
 			fmt.Printf("%d incidents over the run, %d lifecycle events journaled\n", total, journal.Len())
 			return
 		}

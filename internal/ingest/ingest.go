@@ -14,6 +14,14 @@
 // and hands it over whole, when it is full or when the reader is about
 // to wait on its socket, to one queue bounded in rows; one dispatcher
 // ranges that queue into the handler and returns the batch to the pool.
+//
+// Both kinds of reader take their input through one primitive,
+// sockReader: read for as long as the socket has something (on Linux
+// without blocking, datagrams up to 32 per recvmmsg), and only when it has
+// nothing flush the batch, arm the idle timeout if there is one, and park
+// in the netpoller. No reader runs a timer to flush, and a busy socket
+// pays neither a flush nor a deadline per read. The primitive is the only
+// platform-specific code (sock_linux.go, sock_other.go).
 package ingest
 
 import (
@@ -25,6 +33,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"skynet/internal/alert"
@@ -45,9 +54,24 @@ type BatchHandler func(*alert.Batch)
 // soon as their socket has nothing more for them.
 const maxIngestBatch = 512
 
-// udpFlushInterval bounds how long a decoded-but-unflushed UDP batch can
-// sit in the reader while no further datagrams arrive.
-const udpFlushInterval = 2 * time.Millisecond
+// udpRcvbufBytes is the receive buffer asked of the kernel for the UDP
+// socket, derived from time at line rate like skynetd's ingestQueueRows:
+// the buffer is what the kernel fills while the reader goroutine is not
+// running — descheduled behind a tick's workers on a small box, or paused
+// by the collector — and a datagram that finds it full is gone without a
+// trace on this side of the socket. The kernel charges a datagram its
+// skb, not its payload: 832 B for one of bench/'s 171-byte alerts (Linux
+// 6), so the default buffer (net.core.rmem_default, 208 KB) holds 256 of
+// them, 6.4 ms at 40 K datagrams/s, while a thread on the benchmark box
+// is kept off its CPU for 8–12 ms about once a minute: flood_udp at that
+// rate lost datagrams in every other run. 4 MB asked is 8 MB granted (the
+// kernel doubles the request) where net.core.rmem_max allows it: 10 082
+// such datagrams, 252 ms at 40 K/s, twenty times the stall that overran
+// the default. A kernel with a lower rmem_max grants less; the granted
+// size is logged at boot and exported as skynet_ingest_udp_rcvbuf_bytes,
+// and what the buffer still fails to hold is counted in
+// skynet_ingest_udp_kernel_drops_total.
+const udpRcvbufBytes = 4 << 20
 
 // Stats counts ingestion activity. Snapshot with Server.Stats. The same
 // struct backs /api/stats and the /metrics exposition (via
@@ -69,6 +93,13 @@ type Stats struct {
 	UDPParseErrors  int // malformed compact-format datagrams
 	UDPInvalid      int // UDP alerts failing validation
 	QueueFull       int // rows shed because the dispatch queue was full
+
+	// UDPKernelDrops counts datagrams the kernel discarded because the UDP
+	// socket's receive buffer was full: alerts lost before this package saw
+	// them, so not part of AlertsRejected. The kernel reports its count
+	// with the datagrams it does deliver (Linux, SO_RXQ_OVFL), so a drop
+	// shows once a later datagram has been read. 0 on other platforms.
+	UDPKernelDrops int
 }
 
 // rejectReason indexes the per-protocol reject counters.
@@ -122,8 +153,9 @@ type Server struct {
 	// when that is smaller, so that an empty queue admits any batch.
 	batchRows int
 
-	tcpLn net.Listener
-	udpPc net.PacketConn
+	tcpLn *net.TCPListener
+	udpPc *net.UDPConn
+	udp   *sockReader // udpPc as udpLoop reads it
 
 	// queue carries reader-filled batches to the dispatcher and queued
 	// counts their rows. Admission keeps queued ≤ QueueDepth and no batch
@@ -132,15 +164,23 @@ type Server struct {
 	queued atomic.Int64
 	pool   sync.Pool // *alert.Batch, reset before Put
 
-	mu    sync.Mutex
-	stats Stats
-	conns map[net.Conn]struct{}
+	mu          sync.Mutex
+	stats       Stats
+	rejectCalls int // reject's trips through mu; tests pin one per batch read
+	conns       map[net.Conn]struct{}
 
 	ctx       context.Context
 	cancel    context.CancelFunc
 	readers   sync.WaitGroup // accept loop, connections, UDP reader
 	done      chan struct{}  // closed when the dispatcher has exited
 	closeOnce sync.Once
+}
+
+// socket is what a sockReader needs of a connection: reads and read
+// deadlines, and on Linux the descriptor under them.
+type socket interface {
+	net.Conn
+	syscall.Conn
 }
 
 // Listen is ListenBatch for a per-alert handler: each batch is walked in
@@ -197,25 +237,45 @@ func ListenBatch(cfg Config, handler BatchHandler) (*Server, error) {
 			cancel()
 			return nil, fmt.Errorf("ingest: tcp listen: %w", err)
 		}
-		s.tcpLn = ln
-		s.readers.Add(1)
-		go s.acceptLoop()
+		s.tcpLn = ln.(*net.TCPListener)
 	}
 	if cfg.UDPAddr != "" {
-		pc, err := net.ListenPacket("udp", cfg.UDPAddr)
-		if err != nil {
+		if err := s.listenUDP(); err != nil {
 			if s.tcpLn != nil {
 				s.tcpLn.Close()
 			}
 			cancel()
 			return nil, fmt.Errorf("ingest: udp listen: %w", err)
 		}
-		s.udpPc = pc
+	}
+	if s.tcpLn != nil {
 		s.readers.Add(1)
-		go s.udpLoop()
+		go s.acceptLoop()
 	}
 	go s.dispatch()
 	return s, nil
+}
+
+// listenUDP opens the UDP socket, asks for udpRcvbufBytes of receive
+// buffer and starts udpLoop on it.
+func (s *Server) listenUDP() error {
+	pc, err := net.ListenPacket("udp", s.cfg.UDPAddr)
+	if err != nil {
+		return err
+	}
+	s.udpPc = pc.(*net.UDPConn)
+	if err := s.udpPc.SetReadBuffer(udpRcvbufBytes); err != nil {
+		s.log.Warn("ingest: udp receive buffer", "asked", udpRcvbufBytes, "err", err)
+	}
+	r := &reader{s: s}
+	if s.udp, err = newDatagramReader(s.udpPc, r.flush); err != nil {
+		s.udpPc.Close()
+		return err
+	}
+	s.log.Info("ingest: udp receive buffer", "asked", udpRcvbufBytes, "granted", s.udp.rcvbuf)
+	s.readers.Add(1)
+	go s.udpLoop(r)
+	return nil
 }
 
 // TCPAddr returns the bound TCP address, or nil when TCP is disabled.
@@ -237,8 +297,12 @@ func (s *Server) UDPAddr() net.Addr {
 // Stats returns a snapshot of the counters.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	s.mu.Unlock()
+	if s.udp != nil {
+		st.UDPKernelDrops = s.udp.kernelDrops()
+	}
+	return st
 }
 
 // QueueLoad returns the dispatch queue's current depth and capacity in
@@ -339,7 +403,11 @@ func (r *reader) flush() {
 // reject counts n rows (or, for a stream decode error, the one broken
 // stream) under a reject reason.
 func (s *Server) reject(why rejectReason, n int) {
+	if n == 0 {
+		return
+	}
 	s.mu.Lock()
+	s.rejectCalls++
 	s.stats.AlertsRejected += n
 	switch why {
 	case rejectTCPDecode:
@@ -361,11 +429,7 @@ func (s *Server) reject(why rejectReason, n int) {
 // surfaces can never drift apart.
 func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 	stat := func(pick func(Stats) int) func() float64 {
-		return func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(pick(s.stats))
-		}
+		return func() float64 { return float64(pick(s.Stats())) }
 	}
 	reg.CounterFunc("skynet_ingest_tcp_connections_total",
 		"TCP alert connections accepted.",
@@ -397,13 +461,24 @@ func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("skynet_ingest_queue_depth",
 		"Current dispatch queue depth.",
 		func() float64 { return float64(s.queued.Load()) })
+	reg.CounterFunc("skynet_ingest_udp_kernel_drops_total",
+		"Datagrams the kernel dropped on a full UDP receive buffer (Linux; 0 elsewhere).",
+		stat(func(st Stats) int { return st.UDPKernelDrops }))
+	reg.GaugeFunc("skynet_ingest_udp_rcvbuf_bytes",
+		"UDP receive buffer the kernel granted (Linux; 0 elsewhere or with UDP disabled).",
+		func() float64 {
+			if s.udp == nil {
+				return 0
+			}
+			return float64(s.udp.rcvbuf)
+		})
 }
 
 // acceptLoop accepts TCP connections up to MaxConns.
 func (s *Server) acceptLoop() {
 	defer s.readers.Done()
 	for {
-		conn, err := s.tcpLn.Accept()
+		conn, err := s.tcpLn.AcceptTCP()
 		if err != nil {
 			if s.ctx.Err() != nil {
 				return
@@ -436,12 +511,11 @@ func (s *Server) acceptLoop() {
 // serveConn reads JSON Lines alerts from one TCP connection, each line
 // decoded straight into batch columns (Batch.AppendJSON) through the
 // connection's own WireScratch. The batch is flushed when full and,
-// through connReader, whenever the framer has used up what the socket
-// gave it and goes back for more — no timer. That flush runs inside
-// lines.Next, so the batch to decode into is taken only once the next
-// line is in hand: a batch fetched before it may already be the
-// dispatcher's.
-func (s *Server) serveConn(conn net.Conn) {
+// through the connection's sockReader, whenever the framer asks for more
+// than the socket has — no timer. That flush runs inside lines.Next, so
+// the batch to decode into is taken only once the next line is in hand:
+// a batch fetched before it may already be the dispatcher's.
+func (s *Server) serveConn(conn *net.TCPConn) {
 	defer s.readers.Done()
 	r := reader{s: s}
 	defer func() {
@@ -451,7 +525,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	lines := alert.NewLines(&connReader{conn: conn, timeout: s.cfg.ReadTimeout, beforeRead: r.flush})
+	k, err := newStreamReader(conn, s.cfg.ReadTimeout, r.flush)
+	if err != nil {
+		s.log.Warn("ingest: tcp connection", "remote", conn.RemoteAddr(), "err", err)
+		return
+	}
+	lines := alert.NewLines(k)
 	var sc alert.WireScratch
 	for {
 		line, err := lines.Next()
@@ -495,47 +574,69 @@ func (s *Server) dropInvalid(b *alert.Batch) bool {
 // udpLoop reads one compact-format alert per datagram, decoded straight
 // into batch columns (Batch.AppendWireScratch). The loop owns a
 // WireScratch (single goroutine, no locking) so repeated field values
-// across datagrams decode without allocating. The batch is flushed when
-// full or when no further datagram arrives within udpFlushInterval.
-func (s *Server) udpLoop() {
+// across datagrams decode without allocating. s.udp hands it every
+// datagram the socket holds, a batch read at a time, and runs r.flush
+// when the socket is empty, just before it parks: the batch goes out full
+// or as soon as nothing more is waiting, and nothing here keeps a timer.
+// That flush happens inside readBatch, so the batch is taken per datagram
+// afterwards, never held across a read. The datagrams of one batch read
+// take s.mu once for their reject counts, not once each.
+func (s *Server) udpLoop(r *reader) {
 	defer s.readers.Done()
-	buf := make([]byte, alert.MaxLineBytes)
-	var sc alert.WireScratch
-	r := reader{s: s}
 	defer r.flush()
+	var sc alert.WireScratch
+	var faults readFaults
 	for {
-		// Block indefinitely while empty; with rows pending, wait only
-		// the flush interval so a lull can't strand decoded alerts.
-		var deadline time.Time
-		if r.rows() > 0 {
-			deadline = time.Now().Add(udpFlushInterval)
-		}
-		s.udpPc.SetReadDeadline(deadline)
-		n, _, err := s.udpPc.ReadFrom(buf)
+		n, err := s.udp.readBatch()
 		if err != nil {
-			if s.ctx.Err() != nil {
+			if errors.Is(err, net.ErrClosed) || !faults.pause(s, err) {
 				return
 			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
+			continue
+		}
+		faults.delay = 0
+		var unparsed, invalid int
+		for i := 0; i < n; i++ {
+			b := r.batch()
+			if b.AppendWireScratch(trimNewline(s.udp.datagram(i)), &sc) != nil {
+				unparsed++
+			} else if s.dropInvalid(b) {
+				invalid++
+			} else if b.Len() >= s.batchRows {
 				r.flush()
-				continue
 			}
-			s.log.Warn("ingest: udp read", "err", err)
-			continue
 		}
-		b := r.batch()
-		if err := b.AppendWireScratch(trimNewline(buf[:n]), &sc); err != nil {
-			s.reject(rejectUDPParse, 1)
-			continue
+		s.reject(rejectUDPParse, unparsed)
+		s.reject(rejectUDPInvalid, invalid)
+	}
+}
+
+// readFaults keeps a socket that fails every read from spinning its reader
+// or the log: each distinct error is logged once at Warn (repeats at
+// Debug), and the reader sleeps before it tries again, 1 ms doubling to 1 s
+// for as long as reads keep failing.
+type readFaults struct {
+	seen  map[string]struct{}
+	delay time.Duration
+}
+
+// pause logs err and sleeps; false means the server closed meanwhile.
+func (f *readFaults) pause(s *Server, err error) bool {
+	level := slog.LevelDebug
+	if _, dup := f.seen[err.Error()]; !dup {
+		if f.seen == nil {
+			f.seen = make(map[string]struct{})
 		}
-		if s.dropInvalid(b) {
-			s.reject(rejectUDPInvalid, 1)
-			continue
-		}
-		if b.Len() >= s.batchRows {
-			r.flush()
-		}
+		f.seen[err.Error()] = struct{}{}
+		level = slog.LevelWarn
+	}
+	f.delay = min(max(2*f.delay, time.Millisecond), time.Second)
+	s.log.Log(s.ctx, level, "ingest: udp read", "err", err, "retry_in", f.delay)
+	select {
+	case <-s.ctx.Done():
+		return false
+	case <-time.After(f.delay):
+		return true
 	}
 }
 
@@ -544,23 +645,4 @@ func trimNewline(b []byte) []byte {
 		b = b[:len(b)-1]
 	}
 	return b
-}
-
-// connReader is a TCP connection as the decoder reads it: every Read
-// first runs beforeRead (the reader is about to wait on its socket) and
-// then applies a fresh read deadline.
-type connReader struct {
-	conn       net.Conn
-	timeout    time.Duration
-	beforeRead func()
-}
-
-func (r *connReader) Read(p []byte) (int, error) {
-	r.beforeRead()
-	if r.timeout > 0 {
-		if err := r.conn.SetReadDeadline(time.Now().Add(r.timeout)); err != nil {
-			return 0, err
-		}
-	}
-	return r.conn.Read(p)
 }

@@ -335,6 +335,7 @@ func TestUDPGarbageFloodStaysUp(t *testing.T) {
 	if col.len() != 1 {
 		t.Errorf("handled %d, want only the valid alert", col.len())
 	}
+	t.Run("one lock per batch read", garbageBatchTakesOneLock)
 }
 
 func TestTCPPartialJSONThenDisconnect(t *testing.T) {

@@ -96,9 +96,10 @@ func TestQueueHighWaterTracksDepth(t *testing.T) {
 				if err := send(&a); err != nil {
 					t.Fatal(err)
 				}
-				// Longer than udpFlushInterval, so rows queue one by one
-				// and the queue fills to exactly its depth.
-				time.Sleep(2 * udpFlushInterval)
+				// Long enough for the reader to find its socket empty and
+				// flush, so rows queue one by one and the queue fills to
+				// exactly its depth.
+				time.Sleep(4 * time.Millisecond)
 			}
 			st := s.Stats()
 			if st.QueueHighWater != cfg.QueueDepth || st.QueueFull == 0 {
@@ -147,6 +148,12 @@ func TestRegisterMetricsMatchesStats(t *testing.T) {
 	}
 	if int(vals["skynet_ingest_queue_high_water"]) != st.QueueHighWater {
 		t.Errorf("metrics hwm %v, stats %d", vals["skynet_ingest_queue_high_water"], st.QueueHighWater)
+	}
+	if got, ok := vals["skynet_ingest_udp_kernel_drops_total"]; !ok || int(got) != st.UDPKernelDrops {
+		t.Errorf("metrics kernel drops %v (registered: %v), stats %d", got, ok, st.UDPKernelDrops)
+	}
+	if got, ok := vals["skynet_ingest_udp_rcvbuf_bytes"]; !ok || int(got) != s.udp.rcvbuf {
+		t.Errorf("metrics receive buffer %v (registered: %v), the socket's %d", got, ok, s.udp.rcvbuf)
 	}
 	var b strings.Builder
 	if err := reg.Expose(&b); err != nil {

@@ -123,3 +123,54 @@ func TestTCPBurstArrivesInFewBatches(t *testing.T) {
 		t.Errorf("%d-byte burst (%d rows) reached the handler in %d batches, want a handful", len(burst), n, batches)
 	}
 }
+
+// TestTCPReadTimeoutCountsIdleTime pins what ReadTimeout measures now that
+// the deadline is armed only when a read would block: time with nothing to
+// read. A connection that trickles (parks and is re-armed between writes)
+// and one that blasts for several timeouts on end (never parks, so the
+// deadline armed before the blast runs out under it) both stay open; a
+// connection that goes quiet is closed after ReadTimeout.
+func TestTCPReadTimeoutCountsIdleTime(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	cfg := DefaultConfig()
+	cfg.UDPAddr = ""
+	cfg.ReadTimeout = timeout
+	s, err := ListenBatch(cfg, func(*alert.Batch) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	conn, err := net.Dial("tcp", s.TCPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	line := jsonLines(t, 1)
+	for end := time.Now().Add(3 * timeout); time.Now().Before(end); time.Sleep(timeout / 10) {
+		if _, err := conn.Write(line); err != nil {
+			t.Fatalf("trickling connection closed: %v", err)
+		}
+	}
+	blast := jsonLines(t, 200)
+	for end := time.Now().Add(3 * timeout); time.Now().Before(end); {
+		if _, err := conn.Write(blast); err != nil {
+			t.Fatalf("busy connection closed: %v", err)
+		}
+	}
+	if _, err := conn.Write(line); err != nil {
+		t.Fatalf("busy connection closed: %v", err)
+	}
+	if st := s.Stats(); st.TCPDecodeErrors != 0 {
+		t.Fatalf("connection dropped while it had input: %+v", st)
+	}
+
+	quiet := time.Now()
+	conn.SetReadDeadline(quiet.Add(10 * timeout))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || time.Since(quiet) >= 10*timeout {
+		t.Fatalf("idle connection still open after %v (read: %v)", time.Since(quiet), err)
+	}
+	if idle := time.Since(quiet); idle < timeout/2 {
+		t.Errorf("connection closed %v after its last input, ReadTimeout is %v", idle, timeout)
+	}
+}

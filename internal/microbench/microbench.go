@@ -8,8 +8,12 @@ package microbench
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"log/slog"
+	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,6 +24,7 @@ import (
 	"skynet/internal/flood"
 	"skynet/internal/hierarchy"
 	"skynet/internal/incident"
+	"skynet/internal/ingest"
 	"skynet/internal/locator"
 	"skynet/internal/preprocess"
 	"skynet/internal/prof"
@@ -101,6 +106,7 @@ var suite = []struct {
 	{"wire_codec", benchWireCodec},
 	{"wire_codec_scratch", benchWireCodecScratch},
 	{"json_codec", benchJSONCodec},
+	{"udp_ingest", benchUDPIngest},
 	{"fanout_publish", benchFanoutPublish},
 	{"fanout_delta_encode", benchFanoutDeltaEncode},
 }
@@ -538,6 +544,56 @@ func benchJSONCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchUDPIngest is one datagram through the whole UDP front door over
+// loopback: the sender's write, the reader's batch socket read and wire
+// decode, the row-bounded queue, the dispatcher and a counting handler.
+// The sender stays at most a window ahead of the handler — well inside
+// the kernel's default socket buffer — so nothing is dropped and ns/op is
+// the inverse of sustained loopback datagrams per second.
+func benchUDPIngest(b *testing.B) {
+	const window = 128
+	var rows atomic.Int64
+	srv, err := ingest.ListenBatch(ingest.Config{
+		UDPAddr:    "127.0.0.1:0",
+		QueueDepth: 1 << 16,
+		Logger:     slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}, func(batch *alert.Batch) { rows.Add(int64(batch.Len())) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("udp", srv.UDPAddr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	a := alert.Alert{
+		Source: alert.SourcePing, Type: alert.TypePacketLoss, Class: alert.ClassFailure,
+		Time: benchEpoch, End: benchEpoch.Add(time.Minute),
+		Location: hierarchy.MustNew("RG01", "CT01", "LS01", "ST01", "CL01", "dev-1"),
+		Value:    0.25, Count: 3, Raw: "Packet loss 25.0% to peer",
+	}
+	payload := alert.AppendWire(nil, &a)
+	// awaitRows spins until the handler has seen n rows; a datagram that
+	// never arrives must fail the benchmark, not hang it.
+	awaitRows := func(n int64) {
+		for stalled := time.Now(); rows.Load() < n; runtime.Gosched() {
+			if time.Since(stalled) > 10*time.Second {
+				b.Fatalf("handler saw %d of %d datagrams: %+v", rows.Load(), n, srv.Stats())
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		awaitRows(int64(i) - window + 1)
+		if _, err := conn.Write(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	awaitRows(int64(b.N))
 }
 
 // benchWireCodecScratch is benchWireCodec through a WireScratch — the

@@ -200,6 +200,10 @@ type StatsView struct {
 	RejectedUDPParse   int `json:"rejected_udp_parse,omitempty"`
 	RejectedUDPInvalid int `json:"rejected_udp_invalid,omitempty"`
 	RejectedQueueFull  int `json:"rejected_queue_full,omitempty"`
+
+	// UDPKernelDrops is datagrams lost on a full socket buffer before the
+	// server could count them as anything.
+	UDPKernelDrops int `json:"udp_kernel_drops,omitempty"`
 }
 
 // Summarize builds the list-view JSON shape for one incident — shared
@@ -249,6 +253,7 @@ func (s *Snapshotter) Handler() http.Handler {
 			view.RejectedUDPParse = st.UDPParseErrors
 			view.RejectedUDPInvalid = st.UDPInvalid
 			view.RejectedQueueFull = st.QueueFull
+			view.UDPKernelDrops = st.UDPKernelDrops
 		}
 		writeJSON(w, view)
 	})
