@@ -79,7 +79,7 @@ func main() {
 		flightDir = flag.String("flight-dir", "flight-dumps",
 			"flight-recorder dump directory (empty disables dumps; triggers, /api/health, and /api/trace stay on)")
 		sloTickP99 = flag.Duration("slo-tick-p99", flight.DefaultSLOTickP99,
-			"self-SLO on tick latency p99; a breach fires the flight recorder")
+			"self-SLO on tick latency; the burn-rate rule watching it fires the flight recorder's slo_burn trigger")
 		flightMaxDumps = flag.Int("flight-max-dumps", 0,
 			"max flight dump directories kept on disk; oldest are deleted past the cap (0 = keep all)")
 		selfMonitor = flag.Bool("self-monitor", true,
@@ -147,15 +147,78 @@ func main() {
 		fatal(log, fmt.Errorf("unknown scale %q", *scale))
 	}
 
-	classifier, err := preprocess.BootstrapClassifier()
+	d, err := wire(options{
+		tcpAddr: *tcpAddr, udpAddr: *udpAddr, workers: *workers, provEvery: *provEvery,
+		flightDir: *flightDir, flightMaxDumps: *flightMaxDumps, sloTickP99: *sloTickP99,
+		selfMonitor: *selfMonitor, profileDir: *profileDir, profileInterval: *profileInterval,
+		profileWindow: *profileWindow, profileMaxWindows: *profileMaxWindows,
+		fanoutRing: *fanoutRing, fanoutRate: *fanoutRate,
+	}, topo, log)
 	if err != nil {
 		fatal(log, err)
 	}
+	defer d.close()
+	d.profiler.Start()
+	d.run(log, topo, *httpAddr, *pprofOn, *tick, finalSnapshotPath(*historySnap, *flightDir))
+}
+
+// options are the flag values the wiring depends on.
+type options struct {
+	tcpAddr, udpAddr  string
+	workers           int
+	provEvery         int
+	flightDir         string
+	flightMaxDumps    int
+	sloTickP99        time.Duration
+	selfMonitor       bool
+	profileDir        string
+	profileInterval   time.Duration
+	profileWindow     time.Duration
+	profileMaxWindows int
+	fanoutRing        int
+	fanoutRate        float64
+}
+
+// daemon is the engine with everything skynetd wires around it.
+type daemon struct {
+	// mu serializes the tick loop, the ingest dispatcher and the HTTP
+	// status handlers.
+	mu       sync.Mutex
+	engine   *core.Engine
+	reg      *telemetry.Registry
+	journal  *telemetry.Journal
+	tracer   *span.Tracer
+	db       *tsdb.DB
+	sloEng   *slo.Engine
+	profiler *prof.Collector
+	hub      *fanout.Hub
+	prov     *provenance.Recorder // nil with -provenance 0
+	floodRec *flood.Recorder
+	srv      *ingest.Server
+	flight   *flight.Recorder
+}
+
+// close stops what wire started — the listeners and the hub — and the
+// profiler, if it was started.
+func (d *daemon) close() {
+	d.srv.Close()
+	d.hub.Close()
+	d.profiler.Stop()
+}
+
+// wire builds the engine, every observer and server on its tick path and
+// the ingest listeners, and registers all of their metrics. The listeners
+// are live when it returns; the continuous profiler is not started.
+func wire(o options, topo *topology.Topology, log *slog.Logger) (*daemon, error) {
+	classifier, err := preprocess.BootstrapClassifier()
+	if err != nil {
+		return nil, err
+	}
 	engineCfg := core.DefaultConfig()
-	engineCfg.Workers = *workers
+	engineCfg.Workers = o.workers
 	engine := core.NewEngine(engineCfg, topo, classifier, nil, nil)
-	// engineMu serializes the main loop and the HTTP status handlers.
-	var engineMu sync.Mutex
+	d := &daemon{engine: engine}
+	engineMu := &d.mu
 
 	// Telemetry: the registry backs GET /metrics, the journal backs
 	// GET /api/journal.
@@ -164,7 +227,7 @@ func main() {
 	engine.EnableTelemetry(reg, journal)
 	journal.RegisterMetrics(reg)
 
-	// Tracing: a span tree per tick, feeding /api/trace, the per-stage
+	// Tracing: a span tree per tick, feeding /api/trace, the per-phase
 	// span histograms on /metrics, and flight-recorder dumps.
 	tracer := span.NewTracer(0)
 	engine.EnableTracing(tracer)
@@ -179,9 +242,9 @@ func main() {
 	// SLO watchdog: multi-window burn-rate rules over the history store;
 	// with -self-monitor, burns feed back into the pipeline as synthetic
 	// meta/skynetd alerts.
-	sloEng := slo.New(db, slo.DefaultRules(*sloTickP99))
+	sloEng := slo.New(db, slo.DefaultRules(o.sloTickP99))
 	sloEng.RegisterMetrics(reg)
-	engine.EnableSLO(sloEng, *selfMonitor)
+	engine.EnableSLO(sloEng, o.selfMonitor)
 
 	// Continuous profiling: pipeline stages run under pprof labels, a
 	// background collector captures short windowed CPU profiles on a
@@ -192,14 +255,12 @@ func main() {
 	engine.EnableProfiling(prof.NewLabeler(engine.MaxShards()))
 	engine.EnableRuntimeMetrics(prof.NewRuntime(reg))
 	profiler := prof.NewCollector(prof.CollectorConfig{
-		Dir:        *profileDir,
-		Interval:   *profileInterval,
-		Window:     *profileWindow,
-		MaxWindows: *profileMaxWindows,
+		Dir:        o.profileDir,
+		Interval:   o.profileInterval,
+		Window:     o.profileWindow,
+		MaxWindows: o.profileMaxWindows,
 		Registry:   reg,
 	})
-	profiler.Start()
-	defer profiler.Stop()
 
 	// Fan-out serving layer: every tick the engine publishes one encoded
 	// incident-feed snapshot plus delta into the hub's shared ring, and
@@ -207,11 +268,10 @@ func main() {
 	// touches the tick path. Event chatter (journal, flood, flight, SLO)
 	// rides the same ring with SSE ids for Last-Event-ID resume.
 	hub := fanout.NewHub(fanout.Config{
-		Ring:      *fanoutRing,
-		Rate:      *fanoutRate,
+		Ring:      o.fanoutRing,
+		Rate:      o.fanoutRate,
 		WallStamp: true,
 	})
-	defer hub.Close()
 	hub.RegisterMetrics(reg)
 	engine.EnableFanout(hub)
 	journal.SetNotify(func(ev telemetry.Event) { hub.Publish(status.EventTypeIncident, ev) })
@@ -219,8 +279,8 @@ func main() {
 	// Provenance: lineage conservation counters on /metrics and the
 	// per-incident explain endpoint.
 	var prov *provenance.Recorder
-	if *provEvery > 0 {
-		prov = provenance.New(provenance.Config{SampleEvery: *provEvery})
+	if o.provEvery > 0 {
+		prov = provenance.New(provenance.Config{SampleEvery: o.provEvery})
 		engine.EnableProvenance(prov)
 		prov.RegisterMetrics(reg)
 	}
@@ -239,9 +299,9 @@ func main() {
 	floodRec.SetNotify(func(ev flood.Event) {
 		hub.Publish(status.EventTypeFlood, ev)
 		log.Info("flood episode", "episode", ev.Episode, "phase", ev.Phase.String(), "detail", ev.Detail)
-		if ev.Phase == flood.PhaseClosed && *flightDir != "" {
+		if ev.Phase == flood.PhaseClosed && o.flightDir != "" {
 			if rep, ok := floodRec.Report(ev.Episode); ok {
-				if path, err := flood.WriteReport(*flightDir, &rep); err != nil {
+				if path, err := flood.WriteReport(o.flightDir, &rep); err != nil {
 					log.Warn("flood report archive failed", "err", err)
 				} else {
 					log.Info("flood postmortem archived", "path", path)
@@ -254,7 +314,7 @@ func main() {
 		"workers", engine.Workers(),
 		"preprocess_shards", engine.PreprocessShards(),
 		"locator_shards", engine.LocatorShards(),
-		"provenance_sample_every", *provEvery)
+		"provenance_sample_every", o.provEvery)
 	// The batch handler runs on the ingest dispatch goroutine and feeds
 	// the engine's columnar path directly under engineMu (IngestBatch
 	// copies the columns out, so the dispatcher's batch is safe to
@@ -263,8 +323,8 @@ func main() {
 	// skynet_ingest_rejected_queue_full_total counter, never silently
 	// dropped.
 	srv, err := ingest.ListenBatch(ingest.Config{
-		TCPAddr:     *tcpAddr,
-		UDPAddr:     *udpAddr,
+		TCPAddr:     o.tcpAddr,
+		UDPAddr:     o.udpAddr,
 		MaxConns:    256,
 		ReadTimeout: 5 * time.Minute,
 		QueueDepth:  ingestQueueRows,
@@ -275,13 +335,14 @@ func main() {
 		engineMu.Unlock()
 	})
 	if err != nil {
-		fatal(log, err)
+		hub.Close()
+		return nil, err
 	}
 	srv.RegisterMetrics(reg)
-	defer srv.Close()
 
-	// Flight recorder: watches tick p99, ingest shed, journal drops, queue
-	// high-water, and provenance conservation; dumps evidence on anomalies.
+	// Flight recorder: watches SLO burn events, ingest shed, journal drops,
+	// queue high-water, flood closes and provenance conservation; dumps
+	// evidence on anomalies.
 	flightSrc := flight.Sources{
 		Shed:           func() int64 { return int64(srv.Stats().QueueFull) },
 		JournalEvicted: journal.Evicted,
@@ -308,9 +369,9 @@ func main() {
 		flightSrc.ProvInFlight = prov.InFlight
 	}
 	flightRec := flight.New(flight.Config{
-		Dir:         *flightDir,
-		SLOTickP99:  *sloTickP99,
-		MaxDumpDirs: *flightMaxDumps,
+		Dir:         o.flightDir,
+		SLOTickP99:  o.sloTickP99,
+		MaxDumpDirs: o.flightMaxDumps,
 	}, flightSrc)
 	flightRec.RegisterMetrics(reg)
 	flightRec.SetNotify(func(ev flight.Event) {
@@ -321,16 +382,27 @@ func main() {
 		hub.Publish(status.EventTypeSLO, ev)
 		log.Warn("slo burn event", "rule", ev.Rule, "firing", ev.Firing, "detail", ev.Detail)
 	})
+	d.reg, d.journal, d.tracer, d.db, d.sloEng = reg, journal, tracer, db, sloEng
+	d.profiler, d.hub, d.prov, d.floodRec, d.srv, d.flight = profiler, hub, prov, floodRec, srv, flightRec
+	return d, nil
+}
+
+// run serves the status API and ticks the engine until SIGINT/SIGTERM,
+// then writes the final history snapshot to snapshotPath (empty: none)
+// and prints the run's summary.
+func (d *daemon) run(log *slog.Logger, topo *topology.Topology, httpAddr string, pprofOn bool, tick time.Duration, snapshotPath string) {
+	engine, engineMu, reg, journal, tracer, db := d.engine, &d.mu, d.reg, d.journal, d.tracer, d.db
+	sloEng, profiler, hub, prov, floodRec, srv, flightRec := d.sloEng, d.profiler, d.hub, d.prov, d.floodRec, d.srv, d.flight
 	if a := srv.TCPAddr(); a != nil {
 		log.Info("tcp listening", "addr", a.String())
 	}
 	if a := srv.UDPAddr(); a != nil {
 		log.Info("udp listening", "addr", a.String())
 	}
-	if *httpAddr != "" {
+	if httpAddr != "" {
 		flags := map[string]string{}
 		flag.VisitAll(func(f *flag.Flag) { flags[f.Name] = f.Value.String() })
-		snap := status.NewSnapshotter(&engineMu, engine, srv).
+		snap := status.NewSnapshotter(engineMu, engine, srv).
 			WithTopology(topo).
 			WithTelemetry(reg).
 			WithJournal(journal).
@@ -343,7 +415,7 @@ func main() {
 				Workers:   engine.Workers(),
 				Flags:     flags,
 			}).
-			WithPprof(*pprofOn).
+			WithPprof(pprofOn).
 			WithFlight(flightRec).
 			WithTracer(tracer).
 			WithEvents(hub).
@@ -351,17 +423,17 @@ func main() {
 			WithHistory(db).
 			WithSLO(sloEng).
 			WithProfiler(profiler)
-		statusSrv, err := status.Listen(*httpAddr, snap, log)
+		statusSrv, err := status.Listen(httpAddr, snap, log)
 		if err != nil {
 			fatal(log, err)
 		}
 		defer statusSrv.Close()
-		log.Info("http status listening", "addr", statusSrv.Addr().String(), "pprof", *pprofOn)
+		log.Info("http status listening", "addr", statusSrv.Addr().String(), "pprof", pprofOn)
 	}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	ticker := time.NewTicker(*tick)
+	ticker := time.NewTicker(tick)
 	defer ticker.Stop()
 
 	known := map[int]bool{}
@@ -401,11 +473,11 @@ func main() {
 			hub.Close()
 			// Flush the final telemetry-history snapshot: the whole run's
 			// tick-indexed series, the postmortem artifact CI uploads.
-			if path := finalSnapshotPath(*historySnap, *flightDir); path != "" {
-				if err := writeHistorySnapshot(db, path); err != nil {
+			if snapshotPath != "" {
+				if err := writeHistorySnapshot(db, snapshotPath); err != nil {
 					log.Warn("history snapshot failed", "err", err)
 				} else {
-					log.Info("history snapshot written", "path", path,
+					log.Info("history snapshot written", "path", snapshotPath,
 						"series", len(db.SeriesNames()), "samples", db.Samples(),
 						"resident_bytes", db.MemoryBytes())
 				}

@@ -126,11 +126,14 @@ type Engine struct {
 	one   alert.Batch // Ingest's one-row batch
 
 	// Telemetry is optional; all fields below are nil/zero until
-	// EnableTelemetry, and the pipeline takes no telemetry branches then.
+	// EnableTelemetry. stageHist holds the top-level stages' latency
+	// histograms by stage name (nil map: no stage is timed).
 	tel        *pipelineMetrics
+	stageHist  map[string]*telemetry.Histogram
 	reg        *telemetry.Registry
 	journal    *telemetry.Journal
 	lastState  map[int]incidentState
+	journalNew map[int]struct{} // the differ's scratch set of this tick's created IDs
 	closedSeen int
 
 	// Tracing is optional; nil until EnableTracing.
@@ -156,11 +159,10 @@ type Engine struct {
 	latModel    func(tick uint64) time.Duration
 
 	// Continuous profiling + runtime sampling are optional; nil until
-	// EnableProfiling / EnableRuntimeMetrics. profL's methods are
-	// nil-receiver safe, so the hot path calls them unconditionally.
-	profL       *prof.Labeler
-	profEpisode uint64
-	rtm         *prof.Runtime
+	// EnableProfiling / EnableRuntimeMetrics. profL rides the stage seam;
+	// both are nil-receiver safe.
+	profL *prof.Labeler
+	rtm   *prof.Runtime
 
 	// Fan-out serving is optional; nil until EnableFanout. The tick's
 	// snapshot and delta documents are built directly into hub-pooled
@@ -246,61 +248,91 @@ func (e *Engine) SetReachability(samples []zoomin.Sample) {
 	e.samples = samples
 }
 
-// Tick advances the pipeline to now: flushes the preprocessor into the
-// locator, runs incident generation and expiry, refines and scores
-// incidents, and applies automatic SOPs to new ones.
+// Tick advances the pipeline to now. It reads in the order an operator
+// waits for it: the paper's three modules and the SOP hook (Fig. 5a),
+// then publish — this tick's frame leaves for the serving hub — and only
+// then the observers, so none of their cost is feed lag. Every stage
+// boundary is one Enter and one Exit on the stage seam (span.Scope): the
+// span, its item count, the pprof label and the
+// skynet_stage_<name>_seconds observation all come from that one pair,
+// each where the corresponding Enable* attached it.
 func (e *Engine) Tick(now time.Time) TickResult {
 	var res TickResult
 	e.tickCount++
-	tel := e.tel
-	var start, mark time.Time
-	if tel != nil || e.hist != nil {
-		start = time.Now()
-		mark = start
-	}
-	if tel != nil {
-		tel.prePending.SetInt(e.pre.PendingDepth())
-	}
+	start := time.Now()
+	pending := e.pre.PendingDepth()
 	act := e.tracer.StartTick(e.tickCount, now) // nil when tracing is off
-	preR := act.Begin(span.Root, "preprocess")
-	if act != nil {
-		e.pre.SetSpans(act.Scope(preR))
-	}
+	root := act.Scope(e.profL)
+
+	st := e.enter(root, "preprocess")
+	e.pre.SetScope(st.Scope)
 	structured := e.pre.Tick(now)
 	res.Structured = len(structured)
-	act.End(preR, len(structured))
-	if tel != nil {
-		mark = tel.observe(tel.stagePreprocess, mark)
-	}
-	locR := act.Begin(span.Root, "locate")
-	abR := act.Begin(locR, "addbatch")
-	if act != nil {
-		e.loc.SetSpans(act.Scope(abR))
-	}
-	e.profL.Enter(prof.StageLocatorAdd)
+	st.Exit(len(structured))
+
+	st = e.enter(root, "locate")
+	sub := st.Enter("addbatch", nil)
+	e.loc.SetScope(sub.Scope)
 	e.loc.AddBatch(structured)
-	e.profL.Exit()
-	act.End(abR, len(structured))
-	ckR := act.Begin(locR, "check")
-	if act != nil {
-		e.loc.SetSpans(act.Scope(ckR))
-	}
+	sub.Exit(len(structured))
+	sub = st.Enter("check", nil)
+	e.loc.SetScope(sub.Scope)
 	res.NewIncidents = e.loc.Check(now)
-	act.End(ckR, len(res.NewIncidents))
-	act.End(locR, len(structured))
-	if tel != nil {
-		mark = tel.observe(tel.stageLocate, mark)
+	sub.Exit(len(res.NewIncidents))
+	st.Exit(len(structured))
+
+	st = e.enter(root, "evaluate")
+	active := e.evaluate(now, st.Scope)
+	st.Exit(len(e.evalDirty))
+
+	st = e.enter(root, "sop")
+	if e.sopEng != nil {
+		for _, in := range res.NewIncidents {
+			if exec, ok := e.sopEng.Consider(in, now); ok {
+				res.SOPExecutions = append(res.SOPExecutions, exec)
+			}
+		}
 	}
-	// Refine and (re)score active incidents so severity escalates with
-	// duration (Eq. 2's ΔT term). An incident is dirty — needs the full
-	// Refine+Score — when its content changed (rev), the reachability
-	// samples changed (gen), or the previous scoring clamped Eq. 2's
-	// duration at the evaluation time (now < UpdateTime), so a later now
-	// yields a different ΔT. Otherwise both are pure functions of
-	// unchanged inputs and the stored Severity/Zoomed are already exact.
+	st.Exit(len(res.SOPExecutions))
+
+	st = e.enter(root, "publish")
+	st.Exit(e.publish(now, &res, active))
+
+	// The observers: a fixed set in a fixed order, each returning at once
+	// when its Enable* was never called. The order is load-bearing — the
+	// flood detector tags the trace before Finish seals it, and the
+	// history row must see this tick's final counters, span aggregates
+	// and runtime gauges. History may inject self-alerts, which enter the
+	// preprocessor's pending buffer for the NEXT tick; nothing this tick
+	// computed moves.
+	e.observeTelemetry(time.Since(start), pending, &res, len(active))
+	st = root.Enter("observe", nil)
+	e.observeLifecycle(now, res.NewIncidents, active)
+	e.observeFlood(now, structured, res.NewIncidents, active, act)
+	st.Exit(0)
+	e.spanTel.observe(act.Finish())
+	e.rtm.Refresh()
+	e.observeHistory(now, start)
+	return res
+}
+
+// enter opens one of the engine's top-level stages under the tick's root
+// scope, timed into the stage's histogram when a registry is attached.
+func (e *Engine) enter(root span.Scope, name string) span.Stage {
+	return root.Enter(name, e.stageHist[name])
+}
+
+// evaluate refines and (re)scores the active incidents so severity
+// escalates with duration (Eq. 2's ΔT term), and returns the active set;
+// the ones it re-scored are left in e.evalDirty. An incident is dirty —
+// needs the full Refine+Score — when its content changed (rev), the
+// reachability samples changed (gen), or the previous scoring clamped
+// Eq. 2's duration at the evaluation time (now < UpdateTime), so a later
+// now yields a different ΔT. Otherwise both are pure functions of
+// unchanged inputs and the stored Severity/Zoomed are already exact.
+func (e *Engine) evaluate(now time.Time, sc span.Scope) []*incident.Incident {
 	active := e.loc.ActiveAppend(e.activeBuf[:0])
 	e.activeBuf = active
-	evR := act.Begin(span.Root, "evaluate")
 	dirty := e.evalDirty[:0]
 	for _, in := range active {
 		st, ok := e.evalStates[in.ID]
@@ -308,90 +340,31 @@ func (e *Engine) Tick(now time.Time) TickResult {
 			dirty = append(dirty, in)
 		}
 	}
-	rf := act.Scope(evR).Fork("refine_score", len(dirty))
-	e.profL.Enter(prof.StageRefineScore)
+	e.evalDirty = dirty
+	// The score's evidence is kept only for a lineage recorder to read.
+	var bds []evaluator.Breakdown
 	if e.prov != nil {
 		if cap(e.provBds) < len(dirty) {
 			e.provBds = make([]evaluator.Breakdown, len(dirty))
 		}
-		bds := e.provBds[:len(dirty)]
-		par.DoTimed(e.workers, len(dirty), rf.Timer(), func(i int) {
-			in := dirty[i]
-			e.refiner.Refine(in, e.samples)
-			bds[i] = e.eval.Score(in, now)
-		})
-		e.recordScores(now, dirty, bds)
-	} else {
-		par.DoTimed(e.workers, len(dirty), rf.Timer(), func(i int) {
-			in := dirty[i]
-			e.refiner.Refine(in, e.samples)
-			e.eval.Score(in, now)
-		})
+		bds = e.provBds[:len(dirty)]
 	}
-	e.profL.Exit()
+	sc.Fork("refine_score", e.workers, len(dirty), func(i int) {
+		in := dirty[i]
+		e.refiner.Refine(in, e.samples)
+		b := e.eval.Score(in, now)
+		if bds != nil {
+			bds[i] = b
+		}
+	})
+	e.recordScores(now, dirty, bds)
 	for _, in := range dirty {
 		e.evalStates[in.ID] = evalState{rev: in.Rev(), gen: e.sampleGen, now: now, seen: e.tickCount}
 	}
-	e.evalDirty = dirty
 	if e.tickCount%evalStatePruneInterval == 0 {
 		e.pruneEvalStates(active)
 	}
-	act.End(evR, len(dirty))
-	if tel != nil {
-		mark = tel.observe(tel.stageEvaluate, mark)
-		tel.evalRescored.Add(int64(len(dirty)))
-		tel.evalSkipped.Add(int64(len(active) - len(dirty)))
-	}
-	sopR := act.Begin(span.Root, "sop")
-	if e.sopEng != nil {
-		e.profL.Enter(prof.StageSOP)
-		for _, in := range res.NewIncidents {
-			if exec, ok := e.sopEng.Consider(in, now); ok {
-				res.SOPExecutions = append(res.SOPExecutions, exec)
-			}
-		}
-		e.profL.Exit()
-	}
-	act.End(sopR, len(res.SOPExecutions))
-	if tel != nil {
-		tel.observe(tel.stageSOP, mark)
-		tel.tickSeconds.Observe(time.Since(start).Seconds())
-		tel.ticks.Inc()
-		tel.structured.Add(int64(res.Structured))
-		tel.structuredLast.SetInt(res.Structured)
-		tel.incidentsCreated.Add(int64(len(res.NewIncidents)))
-		tel.sopExecutions.Add(int64(len(res.SOPExecutions)))
-		tel.activeIncidents.SetInt(e.loc.ActiveCount())
-		tel.closedIncidents.SetInt(e.loc.ClosedCount())
-		tel.observeShards(e.pre, e.loc)
-	}
-	if e.journal != nil {
-		e.observeLifecycle(now, res.NewIncidents, active)
-	}
-	if e.flood != nil {
-		e.observeFlood(now, structured, res.NewIncidents, active, act)
-	}
-	if tr := act.Finish(); tr != nil && e.spanTel != nil {
-		e.spanTel.observe(tr)
-	}
-	// Runtime sampling refreshes the skynet_runtime_ gauges before the
-	// history sample is cut, so each tick's history row carries the GC /
-	// scheduler state as of that tick. Nil-safe no-op when disabled.
-	e.rtm.Refresh()
-	// History sampling runs last so this tick's counters, gauges, and
-	// span aggregates are all final before the sample is cut. It may
-	// inject self-alerts, which enter the preprocessor's pending buffer
-	// for the NEXT tick — nothing this tick already computed moves.
-	if e.hist != nil {
-		e.observeHistory(now, start)
-	}
-	// Fan-out publish is the true tail of the tick: one snapshot + one
-	// delta, encoded once, pushed into the serving hub's ring. Cost is
-	// independent of the subscriber count.
-	if e.fan != nil {
-		e.observeFanout(now, &res, active)
-	}
-	return res
+	return active
 }
 
 // pruneEvalStates drops incremental-evaluator state for incidents no

@@ -10,23 +10,30 @@ import (
 )
 
 // EnableFanout attaches the snapshot+delta serving hub: every Tick then
-// publishes one immutable feed snapshot plus one compact delta (opened,
-// updated, closed incidents, flood phase, SLO burn state) into the
-// hub's shared ring. The engine's cost is building and encoding the two
-// documents exactly once — fan-out to any number of subscribers happens
-// on the hub's side by reference and never touches the tick path.
+// publishes one compact delta (opened, updated, closed incidents, flood
+// phase, SLO burn state) and, on the hub's cadence, one full feed
+// snapshot into the hub's shared ring. The engine's cost is building the
+// documents once — encoding is deferred to the first reader, and fan-out
+// to any number of subscribers happens on the hub's side by reference.
 // Call before the first Tick.
 func (e *Engine) EnableFanout(h *fanout.Hub) {
 	e.fan = h
 	e.fanSeen = make(map[int]struct{})
 }
 
-// observeFanout publishes this tick's snapshot and delta. Runs at the
-// very end of Tick, after every observer has settled, so both documents
-// reflect the tick's final state. Both documents are built directly
-// into hub-owned pooled scratch and handed over without a copy
-// (PublishTickOwned); only the seen set stays engine-owned.
-func (e *Engine) observeFanout(now time.Time, res *TickResult, active []*incident.Incident) {
+// publish is the tick's last stage: it builds this tick's delta (and, on
+// cadence, snapshot) directly into hub-owned pooled scratch and hands
+// them over without a copy; only the seen set stays engine-owned. It
+// returns the delta's row count. The incident lists are this tick's; the
+// three summary fields (flood phase and episode, SLO rules firing) are
+// what the observers concluded at the end of the PREVIOUS tick, because
+// this tick's run after the frame has left. A phase or rule transition
+// still reaches subscribers in its own tick, as the flood / slo event
+// the observer publishes on the same ring right behind this delta.
+func (e *Engine) publish(now time.Time, res *TickResult, active []*incident.Incident) int {
+	if e.fan == nil {
+		return 0
+	}
 	d := e.fan.AcquireDelta()
 	d.Tick = e.tickCount
 	d.FromTick = e.tickCount
@@ -90,5 +97,7 @@ func (e *Engine) observeFanout(now time.Time, res *TickResult, active []*inciden
 		s.FloodPhase, s.FloodEpisode, s.SLOFiring = phase, episode, firing
 	}
 
+	rows := len(d.Opened) + len(d.Updated) + len(d.Closed)
 	e.fan.PublishTickOwned(s, d)
+	return rows
 }

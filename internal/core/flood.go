@@ -25,20 +25,19 @@ func (e *Engine) EnableFlood(r *flood.Recorder) {
 func (e *Engine) Flood() *flood.Recorder { return e.flood }
 
 // observeFlood runs the flood detector for one tick and tags the
-// tick's telemetry with the resulting episode ID. Called near the end
-// of Tick, once the incident population has settled, with the tick's
+// tick's telemetry with the resulting episode ID. Called with the tick's
 // still-open span builder so the trace carries the episode.
 func (e *Engine) observeFlood(now time.Time, structured []alert.Alert, created, active []*incident.Incident, act *span.Active) {
+	if e.flood == nil {
+		return
+	}
 	closedInc := e.loc.ClosedSince(e.floodClosedSeen)
 	e.floodClosedSeen = e.loc.ClosedCount()
 	out := e.flood.ObserveTick(now, e.tickCount, structured, created, active, closedInc)
 	// Keep the profiler's episode label in lockstep with the detector:
 	// tag label contexts when an episode opens, untag when it closes —
 	// the close transition is why this runs before the idle early-return.
-	if e.profL != nil && out.EpisodeID != e.profEpisode {
-		e.profL.SetEpisode(out.EpisodeID)
-		e.profEpisode = out.EpisodeID
-	}
+	e.profL.SetEpisode(out.EpisodeID)
 	if out.EpisodeID == 0 {
 		return
 	}

@@ -71,10 +71,12 @@ func (e *Engine) SLOEngine() *slo.Engine { return e.sloEng }
 // has injected.
 func (e *Engine) SelfAlerts() int64 { return e.selfAlertsN.Load() }
 
-// observeHistory runs at the end of Tick: sample, evaluate, self-inject.
-// start is the tick's wall start (zero only if both telemetry and
-// history were off, in which case this is never called).
+// observeHistory is the last observer: sample, evaluate, self-inject.
+// start is the tick's wall start.
 func (e *Engine) observeHistory(now, start time.Time) {
+	if e.hist == nil {
+		return
+	}
 	dur := time.Since(start)
 	if e.latModel != nil {
 		dur = e.latModel(e.tickCount)

@@ -5,17 +5,12 @@ import (
 )
 
 // EnableProfiling attaches pprof stage labels to the pipeline: the
-// engine's refine_score/sop/locator-add sections and the preprocessor's
-// and locator's internal fan-outs run under the labeler's precomputed
-// `stage` (+ `shard`, + flood `episode`) label contexts, so CPU, mutex,
-// and block profiles attribute their samples to pipeline stages. Call
-// before the first Tick; one labeler per process (it owns the par spawn
-// hook). With no labeler the hot path takes only nil-receiver calls.
-func (e *Engine) EnableProfiling(l *prof.Labeler) {
-	e.profL = l
-	e.pre.SetProf(l)
-	e.loc.SetProf(l)
-}
+// labeler rides the stage seam, so the labeled stages of the vocabulary
+// (the five fan-outs and the SOP loop) run under its precomputed `stage`
+// (+ `shard`, + flood `episode`) label contexts and CPU, mutex, and
+// block profiles attribute their samples to pipeline stages. Call before
+// the first Tick; one labeler per process (it owns the par spawn hook).
+func (e *Engine) EnableProfiling(l *prof.Labeler) { e.profL = l }
 
 // MaxShards reports the widest fan-out any stage runs — the shard-label
 // capacity a prof.Labeler for this engine needs.

@@ -22,8 +22,12 @@ func (e *Engine) Provenance() *provenance.Recorder { return e.prov }
 
 // recordScores publishes the §4.3 evidence behind this tick's re-scored
 // incidents onto their provenance records. Runs serially after the
-// parallel Refine+Score phase; bds[i] belongs to dirty[i].
+// parallel Refine+Score phase; bds[i] belongs to dirty[i], and bds is
+// nil when no recorder is attached.
 func (e *Engine) recordScores(now time.Time, dirty []*incident.Incident, bds []evaluator.Breakdown) {
+	if e.prov == nil {
+		return
+	}
 	for i, in := range dirty {
 		b := &bds[i]
 		sr := &provenance.ScoreRecord{

@@ -6,10 +6,12 @@ import (
 )
 
 // spanMetrics bridges finished span trees into the telemetry registry:
-// one latency histogram per span name, plus fork-level shard-skew and
-// queue-wait histograms. Registered lazily because span names surface as
-// they are first recorded; the per-name handle cache keeps the hot path
-// off the registry lock after the first tick.
+// one latency histogram per sub-phase and fork name, plus fork-level
+// shard-skew and queue-wait histograms. The top-level stages are not
+// bridged — the stage seam already observes skynet_stage_<name>_seconds
+// for them. Registered lazily because span names surface as they are
+// first recorded; the per-name handle cache keeps the hot path off the
+// registry lock after the first tick.
 type spanMetrics struct {
 	reg    *telemetry.Registry
 	byName map[string]*telemetry.Histogram
@@ -42,9 +44,13 @@ func (m *spanMetrics) hist(name string) *telemetry.Histogram {
 }
 
 // observe feeds one finished trace into the histograms. Called serially
-// at the end of Tick, off the parallel path. The root span is skipped —
-// skynet_tick_seconds already covers it.
+// among Tick's observers. The root span and its direct children are
+// skipped — skynet_tick_seconds and skynet_stage_*_seconds cover them.
+// A nil receiver or trace (no registry, no tracer) is a no-op.
 func (m *spanMetrics) observe(tr *span.Trace) {
+	if m == nil || tr == nil {
+		return
+	}
 	// Fork groups are runs of same-parent same-name shard spans; spans
 	// are recorded fork-contiguously, so one linear pass finds them.
 	groupStart := -1
@@ -57,6 +63,10 @@ func (m *spanMetrics) observe(tr *span.Trace) {
 	}
 	for i := 1; i < len(tr.Spans); i++ {
 		sp := &tr.Spans[i]
+		if sp.Parent == int32(span.Root) {
+			flush()
+			continue
+		}
 		secs := sp.Dur.Seconds()
 		m.hist(sp.Name).Observe(secs)
 		if sp.Shard < 0 {
@@ -84,15 +94,20 @@ func (m *spanMetrics) observe(tr *span.Trace) {
 // EnableTracing attaches a span tracer to the engine: every Tick records
 // a span tree (stages, sub-phases, and parallel shard fan-outs) into the
 // tracer's ring. When a telemetry registry is also attached (see
-// EnableTelemetry), finished spans additionally feed per-stage latency,
-// shard-skew, and queue-wait histograms. Call before the first Tick;
-// with no tracer the pipeline takes a single nil-check per tick.
+// EnableTelemetry), finished spans additionally feed per-phase latency,
+// shard-skew, and queue-wait histograms. Call before the first Tick.
 //
 // Tracing never touches pipeline data: incident sets, IDs, and severity
 // bits are bit-identical with and without it, at every worker count.
 func (e *Engine) EnableTracing(tr *span.Tracer) {
 	e.tracer = tr
-	if tr != nil && e.reg != nil && e.spanTel == nil {
+	e.bridgeSpans()
+}
+
+// bridgeSpans creates the span-to-histogram bridge once the engine has
+// both a tracer and a registry, in whichever order they were attached.
+func (e *Engine) bridgeSpans() {
+	if e.tracer != nil && e.reg != nil && e.spanTel == nil {
 		e.spanTel = newSpanMetrics(e.reg)
 	}
 }

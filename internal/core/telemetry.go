@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"skynet/internal/hierarchy"
 	"skynet/internal/incident"
 	"skynet/internal/locator"
 	"skynet/internal/preprocess"
@@ -15,6 +16,18 @@ import (
 // ΔT term of Eq. 2, so journaling every change would flood the ring.
 const journalSeverityDelta = 1.0
 
+// stages are the engine's top-level stages, in tick order, each with the
+// help text of its latency histogram. A stage is entered through the
+// seam under its name, which is also its span's name and the middle of
+// its histogram's: skynet_stage_<name>_seconds.
+var stages = [...]struct{ name, help string }{
+	{"preprocess", "Wall time of the preprocessor flush stage (§4.1)."},
+	{"locate", "Wall time of locator add/check (Algorithms 1-3)."},
+	{"evaluate", "Wall time of zoom-in refine plus severity scoring (Eq. 1-3)."},
+	{"sop", "Wall time of the automatic-SOP stage (§5.1)."},
+	{"publish", "Wall time of building this tick's feed delta (and snapshot) and handing them to the serving hub."},
+}
+
 // pipelineMetrics holds the engine's pre-resolved metric handles so the
 // hot path never touches the registry's lock.
 type pipelineMetrics struct {
@@ -24,11 +37,7 @@ type pipelineMetrics struct {
 	incidentsCreated *telemetry.Counter
 	sopExecutions    *telemetry.Counter
 
-	tickSeconds     *telemetry.Histogram
-	stagePreprocess *telemetry.Histogram
-	stageLocate     *telemetry.Histogram
-	stageEvaluate   *telemetry.Histogram
-	stageSOP        *telemetry.Histogram
+	tickSeconds *telemetry.Histogram
 
 	activeIncidents *telemetry.Gauge
 	closedIncidents *telemetry.Gauge
@@ -48,7 +57,6 @@ type pipelineMetrics struct {
 }
 
 func newPipelineMetrics(reg *telemetry.Registry) *pipelineMetrics {
-	lb := telemetry.LatencyBuckets()
 	return &pipelineMetrics{
 		rawIngested: reg.Counter("skynet_raw_alerts_total",
 			"Raw alerts ingested into the preprocessor."),
@@ -61,15 +69,8 @@ func newPipelineMetrics(reg *telemetry.Registry) *pipelineMetrics {
 		sopExecutions: reg.Counter("skynet_sop_executions_total",
 			"Automatic SOP mitigations applied."),
 		tickSeconds: reg.Histogram("skynet_tick_seconds",
-			"Wall time of one full pipeline tick.", lb),
-		stagePreprocess: reg.Histogram("skynet_stage_preprocess_seconds",
-			"Wall time of the preprocessor flush stage (§4.1).", lb),
-		stageLocate: reg.Histogram("skynet_stage_locate_seconds",
-			"Wall time of locator add/check (Algorithms 1-3).", lb),
-		stageEvaluate: reg.Histogram("skynet_stage_evaluate_seconds",
-			"Wall time of zoom-in refine plus severity scoring (Eq. 1-3).", lb),
-		stageSOP: reg.Histogram("skynet_stage_sop_seconds",
-			"Wall time of the automatic-SOP stage (§5.1).", lb),
+			"Wall time of one pipeline tick, start to frame published; the observers run after it.",
+			telemetry.LatencyBuckets()),
 		activeIncidents: reg.Gauge("skynet_active_incidents",
 			"Currently open incidents."),
 		closedIncidents: reg.Gauge("skynet_closed_incidents",
@@ -122,39 +123,55 @@ func (m *pipelineMetrics) observeShards(pre *preprocess.Preprocessor, loc *locat
 	}
 }
 
-// observe records the elapsed time since mark on h and returns a fresh
-// mark for the next stage.
-func (m *pipelineMetrics) observe(h *telemetry.Histogram, mark time.Time) time.Time {
-	now := time.Now()
-	h.Observe(now.Sub(mark).Seconds())
-	return now
+// observeTelemetry publishes the tick's counters and gauges; dur is the
+// tick's wall time up to and including publish. First of the observers.
+func (e *Engine) observeTelemetry(dur time.Duration, pending int, res *TickResult, active int) {
+	tel := e.tel
+	if tel == nil {
+		return
+	}
+	tel.tickSeconds.Observe(dur.Seconds())
+	tel.ticks.Inc()
+	tel.prePending.SetInt(pending)
+	tel.structured.Add(int64(res.Structured))
+	tel.structuredLast.SetInt(res.Structured)
+	tel.incidentsCreated.Add(int64(len(res.NewIncidents)))
+	tel.sopExecutions.Add(int64(len(res.SOPExecutions)))
+	tel.evalRescored.Add(int64(len(e.evalDirty)))
+	tel.evalSkipped.Add(int64(active - len(e.evalDirty)))
+	tel.activeIncidents.SetInt(e.loc.ActiveCount())
+	tel.closedIncidents.SetInt(e.loc.ClosedCount())
+	tel.observeShards(e.pre, e.loc)
 }
 
 // incidentState is the journal differ's last-known view of one incident.
 type incidentState struct {
 	alerts   int
 	severity float64
-	zoomed   string
+	zoomed   hierarchy.Path
 	updated  time.Time
 }
 
 // EnableTelemetry attaches a metrics registry and/or a lifecycle journal
 // to the engine. Either argument may be nil. Call before the first Tick;
-// with neither attached the pipeline runs exactly as before (no clock
-// reads, no atomic traffic).
+// with neither attached a tick reads the clock once and touches no
+// atomics.
 func (e *Engine) EnableTelemetry(reg *telemetry.Registry, j *telemetry.Journal) {
 	if reg != nil {
 		e.reg = reg
 		e.tel = newPipelineMetrics(reg)
+		e.stageHist = make(map[string]*telemetry.Histogram, len(stages))
+		for _, st := range stages {
+			e.stageHist[st.name] = reg.Histogram("skynet_stage_"+st.name+"_seconds", st.help, telemetry.LatencyBuckets())
+		}
 		e.tel.workers.SetInt(e.workers)
 		e.tel.initShardMetrics(reg, e.pre.Workers(), e.loc.Workers())
-		if e.tracer != nil && e.spanTel == nil {
-			e.spanTel = newSpanMetrics(reg)
-		}
+		e.bridgeSpans()
 	}
 	if j != nil {
 		e.journal = j
 		e.lastState = make(map[int]incidentState)
+		e.journalNew = make(map[int]struct{})
 	}
 }
 
@@ -166,7 +183,7 @@ func snapshotState(in *incident.Incident) incidentState {
 	return incidentState{
 		alerts:   in.AlertCount(),
 		severity: in.Severity,
-		zoomed:   in.Zoomed.String(),
+		zoomed:   in.Zoomed,
 		updated:  in.UpdateTime,
 	}
 }
@@ -181,8 +198,8 @@ func lifecycleEvent(now time.Time, typ telemetry.EventType, in *incident.Inciden
 		Alerts:    st.alerts,
 		Locations: in.LocationCount(),
 	}
-	if !in.Zoomed.IsRoot() && in.Zoomed != in.Root {
-		ev.Zoomed = st.zoomed
+	if !st.zoomed.IsRoot() && st.zoomed != in.Root {
+		ev.Zoomed = st.zoomed.String()
 	}
 	return ev
 }
@@ -190,10 +207,16 @@ func lifecycleEvent(now time.Time, typ telemetry.EventType, in *incident.Inciden
 // observeLifecycle diffs the incident population against the last tick
 // and appends created/updated/zoomed/scored/closed events to the journal.
 // created is this tick's new incidents; active is the current open set.
+// Per active incident and tick it compares four fields and allocates
+// nothing; strings are rendered only for an event that is appended.
 func (e *Engine) observeLifecycle(now time.Time, created, active []*incident.Incident) {
-	isNew := make(map[int]bool, len(created))
+	if e.journal == nil {
+		return
+	}
+	isNew := e.journalNew
+	clear(isNew)
 	for _, in := range created {
-		isNew[in.ID] = true
+		isNew[in.ID] = struct{}{}
 		st := snapshotState(in)
 		e.journal.Append(lifecycleEvent(now, telemetry.EventCreated, in, st))
 		e.lastState[in.ID] = st
@@ -204,7 +227,7 @@ func (e *Engine) observeLifecycle(now time.Time, created, active []*incident.Inc
 		}
 	}
 	for _, in := range active {
-		if isNew[in.ID] {
+		if _, ok := isNew[in.ID]; ok {
 			continue
 		}
 		prev, known := e.lastState[in.ID]

@@ -68,6 +68,7 @@ func TestTelemetryCountersTrackPipeline(t *testing.T) {
 		"skynet_stage_locate_seconds",
 		"skynet_stage_evaluate_seconds",
 		"skynet_stage_sop_seconds",
+		"skynet_stage_publish_seconds",
 	} {
 		h := findMetric(t, reg, name).Hist
 		if h == nil || h.Count != int64(ticks) {

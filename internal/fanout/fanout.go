@@ -115,11 +115,11 @@ type Frame struct {
 	buf   []byte
 	delta *FeedDelta // structured delta for KindDelta frames (enables merge)
 	// pending marks a tick frame that has not been rendered yet:
-	// PublishTick stores structural copies only, keeping the tick path
-	// free of JSON encoding, and the first Bytes caller pays the render
-	// once for every reader. A snapshot lapped by the next tick before
-	// anyone resyncs is never rendered at all. The render state lives
-	// inline (pendSnap holds the snapshot copy to render, nil for delta
+	// PublishTickOwned stores the documents unrendered, keeping the tick
+	// path free of JSON encoding, and the first Bytes caller pays the
+	// render once for every reader. A snapshot lapped by the next tick
+	// before anyone resyncs is never rendered at all. The render state
+	// lives inline (pendSnap holds the snapshot to render, nil for delta
 	// frames, which render their own delta; pendStamp the wall stamp to
 	// encode with) so deferring costs the publisher no allocation.
 	pending   atomic.Bool
@@ -249,7 +249,7 @@ type Hub struct {
 
 	// Lifetime accounting, exported as skynet_fanout_* metrics.
 	published   atomic.Uint64 // ring frames published
-	ticks       atomic.Uint64 // PublishTick calls (snapshot+delta pairs)
+	ticks       atomic.Uint64 // PublishTickOwned calls
 	resyncs     atomic.Uint64
 	coalesced   atomic.Uint64 // deltas folded away by merges
 	evictions   atomic.Uint64
@@ -367,21 +367,14 @@ func (h *Hub) wakeAllLocked() chan struct{} {
 }
 
 // Publish renders v as one JSON SSE frame of the given event type and
-// appends it to the ring. This is the EventBus-compatible path for
-// journal chatter; the tick path uses PublishTick. Publish never
-// blocks on subscribers.
+// appends it to the ring — the path for event chatter (journal, flood,
+// flight, SLO); the tick's feed documents go through PublishTickOwned.
+// Publish never blocks on subscribers.
 func (h *Hub) Publish(event string, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
-	h.PublishEncoded(event, data)
-}
-
-// PublishEncoded appends a frame whose data payload is already JSON.
-// The bytes are copied into a pooled frame buffer; the caller keeps
-// ownership of data.
-func (h *Hub) PublishEncoded(event string, data []byte) {
 	kind := KindOf(event)
 	h.mu.Lock()
 	if h.closed {
@@ -399,36 +392,10 @@ func (h *Hub) PublishEncoded(event string, data []byte) {
 	close(wake)
 }
 
-// PublishTick is the once-per-tick publish: one delta frame into the
-// ring plus, when snap is non-nil, a replacement of the latest-snapshot
-// slot (the engine passes nil on off-cadence ticks — see
-// Config.SnapshotEvery). The hub deep-copies both documents (so the
-// caller may reuse its scratch immediately) and each is rendered to
-// JSON exactly once, by the first subscriber that reads it. Cost is
-// independent of the subscriber count; subscribers are notified by a
-// single channel close. Callers that can build into hub-owned documents
-// should use AcquireDelta/AcquireSnapshot + PublishTickOwned instead
-// and skip the copies entirely.
-func (h *Hub) PublishTick(snap *FeedSnapshot, delta *FeedDelta) {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
-	}
-	d := h.deltaPool.Get().(*FeedDelta)
-	d.copyFrom(delta)
-	var s *FeedSnapshot
-	if snap != nil {
-		s = h.snapPool.Get().(*FeedSnapshot)
-		s.copyFrom(snap)
-	}
-	h.publishTickLocked(s, d)
-}
-
-// AcquireDelta returns a reset hub-owned delta document for the zero-copy
-// publish path: fill it and hand it back through PublishTickOwned. The
-// document's slices keep their capacity across lives, so a steady-state
-// publisher allocates nothing.
+// AcquireDelta returns a reset hub-owned delta document: fill it and
+// hand it back through PublishTickOwned. The document's slices keep
+// their capacity across lives, so a steady-state publisher allocates
+// nothing.
 func (h *Hub) AcquireDelta() *FeedDelta {
 	d := h.deltaPool.Get().(*FeedDelta)
 	d.reset()
@@ -442,30 +409,25 @@ func (h *Hub) AcquireSnapshot() *FeedSnapshot {
 	return s
 }
 
-// PublishTickOwned is PublishTick without the structural copies: both
-// documents must come from AcquireDelta/AcquireSnapshot (snap may be
-// nil), ownership transfers to the hub, and the caller must not touch
-// them afterwards. This is the engine's tick path — during a flood the
-// delta spans most of the active set, so skipping the copy keeps the
-// publish cost flat instead of O(changed incidents).
+// PublishTickOwned is the once-per-tick publish: one delta frame into
+// the ring plus, when snap is non-nil, a replacement of the
+// latest-snapshot slot (the engine passes nil on off-cadence ticks — see
+// Config.SnapshotEvery). Both documents must come from
+// AcquireDelta/AcquireSnapshot; ownership transfers to the hub, and the
+// caller must not touch them afterwards — during a flood the delta spans
+// most of the active set, so taking the document instead of a copy
+// keeps the publish cost flat instead of O(changed incidents). The
+// frames store the documents unrendered: the JSON encode is deferred to
+// the first reader (Frame.Bytes), so tens of kilobytes of encoding stay
+// off the tick path and still happen exactly once, shared by every
+// subscriber. Cost is independent of the subscriber count; subscribers
+// are notified by a single channel close.
 func (h *Hub) PublishTickOwned(snap *FeedSnapshot, delta *FeedDelta) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
 		return
 	}
-	h.publishTickLocked(snap, delta)
-}
-
-// publishTickLocked appends the tick's delta frame and swaps the
-// snapshot slot. Takes ownership of both documents (snap may be nil);
-// caller holds mu, which this releases. The frames store the documents
-// unrendered: the JSON encode is deferred to the first reader
-// (Frame.Bytes). During a flood the delta covers most of the active
-// set, so rendering here would put tens of kilobytes of encoding on
-// the tick path — deferring keeps the publisher's cost flat, and the
-// encode still happens exactly once, shared by every subscriber.
-func (h *Hub) publishTickLocked(snap *FeedSnapshot, delta *FeedDelta) {
 	var stamp int64
 	if h.cfg.WallStamp {
 		stamp = h.now().UnixNano()

@@ -14,22 +14,25 @@ import (
 
 var testEpoch = time.Date(2024, 7, 2, 11, 0, 0, 0, time.UTC)
 
-func testDelta(tick uint64, opened ...int) *FeedDelta {
-	d := &FeedDelta{Tick: tick, FromTick: tick, Time: testEpoch.Add(time.Duration(tick) * time.Second),
-		Structured: 10, FloodPhase: "onset", FloodEpisode: 1, Coalesced: 1}
+// publishTick publishes one tick the way the engine does: the delta
+// (opening the given incident IDs) and the snapshot are built in
+// hub-owned documents and handed over whole.
+func publishTick(h *Hub, tick uint64, opened ...int) {
+	at := testEpoch.Add(time.Duration(tick) * time.Second)
+	d := h.AcquireDelta()
+	d.Tick, d.FromTick, d.Time = tick, tick, at
+	d.Structured, d.FloodPhase, d.FloodEpisode, d.Coalesced = 10, "onset", 1, 1
 	for _, id := range opened {
 		d.Opened = append(d.Opened, IncidentInfo{
 			ID: id, Root: hierarchy.MustNew("r1", "dc1"), Severity: 0.5,
 			Active: true, Alerts: 3, Locations: 2,
-			Start: testEpoch, Update: d.Time,
+			Start: testEpoch, Update: at,
 		})
 	}
-	return d
-}
-
-func testSnap(tick uint64) *FeedSnapshot {
-	return &FeedSnapshot{Tick: tick, Time: testEpoch.Add(time.Duration(tick) * time.Second),
-		RawTotal: int(tick) * 100, Structured: 10, FloodPhase: "onset", FloodEpisode: 1}
+	s := h.AcquireSnapshot()
+	s.Tick, s.Time = tick, at
+	s.RawTotal, s.Structured, s.FloodPhase, s.FloodEpisode = int(tick)*100, 10, "onset", 1
+	h.PublishTickOwned(s, d)
 }
 
 // parseFrames splits raw SSE bytes into (event, id, data) records.
@@ -70,7 +73,7 @@ func collect(t *testing.T, s *Subscriber) []map[string]string {
 func TestFreshSubscriberGetsSnapshotThenDeltas(t *testing.T) {
 	h := NewHub(Config{Ring: 8})
 	defer h.Close()
-	h.PublishTick(testSnap(1), testDelta(1, 1))
+	publishTick(h, 1, 1)
 
 	sub, err := h.Subscribe(SubscribeOptions{Cursor: -1})
 	if err != nil {
@@ -93,7 +96,7 @@ func TestFreshSubscriberGetsSnapshotThenDeltas(t *testing.T) {
 		t.Fatalf("snapshot content: %+v", snap)
 	}
 
-	h.PublishTick(testSnap(2), testDelta(2, 2))
+	publishTick(h, 2, 2)
 	recs = collect(t, sub)
 	if len(recs) != 1 || recs[0]["event"] != EventDelta {
 		t.Fatalf("want one delta frame, got %+v", recs)
@@ -124,7 +127,7 @@ func TestSubscriberBeforeFirstTickWaitsForSnapshot(t *testing.T) {
 	if frames, wake, err := sub.Poll(); err != nil || frames != nil || wake == nil {
 		t.Fatalf("empty poll: frames=%v wake=%v err=%v", frames, wake, err)
 	}
-	h.PublishTick(testSnap(1), testDelta(1))
+	publishTick(h, 1)
 	recs := collect(t, sub)
 	if len(recs) != 1 || recs[0]["event"] != EventSnapshot {
 		t.Fatalf("want snapshot after first tick, got %+v", recs)
@@ -134,7 +137,7 @@ func TestSubscriberBeforeFirstTickWaitsForSnapshot(t *testing.T) {
 func TestChatterEventsCarryIDsAndKinds(t *testing.T) {
 	h := NewHub(Config{Ring: 8})
 	defer h.Close()
-	h.PublishTick(testSnap(1), testDelta(1))
+	publishTick(h, 1)
 	sub, _ := h.Subscribe(SubscribeOptions{Cursor: -1})
 	defer sub.Close()
 	collect(t, sub) // drain the snapshot
@@ -153,14 +156,14 @@ func TestChatterEventsCarryIDsAndKinds(t *testing.T) {
 func TestLastEventIDResume(t *testing.T) {
 	h := NewHub(Config{Ring: 16})
 	defer h.Close()
-	h.PublishTick(testSnap(1), testDelta(1, 1))
+	publishTick(h, 1, 1)
 	sub, _ := h.Subscribe(SubscribeOptions{Cursor: -1})
 	recs := collect(t, sub)
 	lastID := recs[len(recs)-1]["id"]
 	sub.Close()
 
-	h.PublishTick(testSnap(2), testDelta(2, 2))
-	h.PublishTick(testSnap(3), testDelta(3, 3))
+	publishTick(h, 2, 2)
+	publishTick(h, 3, 3)
 
 	var cursor int64
 	if _, err := json.Number(lastID).Int64(); err != nil {
@@ -201,7 +204,7 @@ func TestLastEventIDResume(t *testing.T) {
 func TestLaggardResyncWithDropAccounting(t *testing.T) {
 	h := NewHub(Config{Ring: 4, EvictAfter: 1 << 20})
 	defer h.Close()
-	h.PublishTick(testSnap(1), testDelta(1))
+	publishTick(h, 1)
 	sub, _ := h.Subscribe(SubscribeOptions{Cursor: -1})
 	defer sub.Close()
 	collect(t, sub) // synced at snapshot 1
@@ -209,7 +212,7 @@ func TestLaggardResyncWithDropAccounting(t *testing.T) {
 	// 8 ring frames while the subscriber sleeps: its cursor falls off
 	// the 4-slot ring.
 	for tick := uint64(2); tick <= 5; tick++ {
-		h.PublishTick(testSnap(tick), testDelta(tick))
+		publishTick(h, tick)
 		h.Publish(EventIncident, map[string]any{"tick": tick})
 	}
 	recs := collect(t, sub)
@@ -242,7 +245,7 @@ func TestLaggardResyncWithDropAccounting(t *testing.T) {
 	}
 
 	// The frames after the resync continue seamlessly from the snapshot.
-	h.PublishTick(testSnap(6), testDelta(6))
+	publishTick(h, 6)
 	recs = collect(t, sub)
 	if len(recs) != 1 || recs[0]["event"] != EventDelta {
 		t.Fatalf("post-resync: %+v", recs)
@@ -258,7 +261,7 @@ func TestLaggardResyncWithDropAccounting(t *testing.T) {
 func TestResyncSeqNeverMovesBackwards(t *testing.T) {
 	h := NewHub(Config{Ring: 4, EvictAfter: 1 << 20})
 	defer h.Close()
-	h.PublishTick(testSnap(1), testDelta(1))
+	publishTick(h, 1)
 	sub, _ := h.Subscribe(SubscribeOptions{Cursor: -1})
 
 	var last uint64
@@ -280,7 +283,7 @@ func TestResyncSeqNeverMovesBackwards(t *testing.T) {
 	sub.ReleaseAll(frames)
 
 	for tick := uint64(2); tick <= 5; tick++ {
-		h.PublishTick(testSnap(tick), testDelta(tick))
+		publishTick(h, tick)
 		h.Publish(EventIncident, map[string]any{"tick": tick})
 	}
 	frames, _, err = sub.Poll()
@@ -301,7 +304,7 @@ func TestResyncSeqNeverMovesBackwards(t *testing.T) {
 	sub.ReleaseAll(frames)
 	sub.Close()
 
-	h.PublishTick(testSnap(6), testDelta(6))
+	publishTick(h, 6)
 	resumed, err := h.Subscribe(SubscribeOptions{Cursor: lastEventID})
 	if err != nil {
 		t.Fatal(err)
@@ -321,13 +324,13 @@ func TestResyncSeqNeverMovesBackwards(t *testing.T) {
 func TestNeverPollingSubscriberIsEvicted(t *testing.T) {
 	h := NewHub(Config{Ring: 4, EvictAfter: 2})
 	defer h.Close()
-	h.PublishTick(testSnap(1), testDelta(1))
+	publishTick(h, 1)
 	sub, _ := h.Subscribe(SubscribeOptions{Cursor: -1})
 	collect(t, sub)
 
 	// Eviction threshold is ring+EvictAfter = 6 frames of lag.
 	for tick := uint64(2); tick <= 10; tick++ {
-		h.PublishTick(testSnap(tick), testDelta(tick))
+		publishTick(h, tick)
 	}
 	if _, _, err := sub.Poll(); err != ErrEvicted {
 		t.Fatalf("want ErrEvicted, got %v", err)
@@ -344,7 +347,7 @@ func TestWaitRateLimitCoalesces(t *testing.T) {
 	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
 	h := NewHub(Config{Ring: 64, Rate: 1000, Burst: 1, Now: now})
 	defer h.Close()
-	h.PublishTick(testSnap(1), testDelta(1))
+	publishTick(h, 1)
 	sub, _ := h.Subscribe(SubscribeOptions{Cursor: -1})
 	defer sub.Close()
 
@@ -356,7 +359,7 @@ func TestWaitRateLimitCoalesces(t *testing.T) {
 	sub.ReleaseAll(frames)
 
 	for tick := uint64(2); tick <= 4; tick++ {
-		h.PublishTick(testSnap(tick), testDelta(tick))
+		publishTick(h, tick)
 	}
 	mu.Lock()
 	clock = clock.Add(10 * time.Millisecond) // 10 tokens at 1000/s
@@ -395,7 +398,7 @@ func TestHubCloseWakesWaiters(t *testing.T) {
 func TestPublishAfterCloseIsNoop(t *testing.T) {
 	h := NewHub(Config{Ring: 8})
 	h.Close()
-	h.PublishTick(testSnap(1), testDelta(1)) // must not panic
+	publishTick(h, 1) // must not panic
 	h.Publish(EventFlood, "x")
 	if _, err := h.Subscribe(SubscribeOptions{Cursor: -1}); err != ErrClosed {
 		t.Fatalf("subscribe after close: %v", err)
@@ -405,7 +408,7 @@ func TestPublishAfterCloseIsNoop(t *testing.T) {
 func TestSnapshotFrameSharedNotCopied(t *testing.T) {
 	h := NewHub(Config{Ring: 8})
 	defer h.Close()
-	h.PublishTick(testSnap(1), testDelta(1))
+	publishTick(h, 1)
 	a, _ := h.Subscribe(SubscribeOptions{Cursor: -1})
 	b, _ := h.Subscribe(SubscribeOptions{Cursor: -1})
 	defer a.Close()
@@ -482,7 +485,7 @@ func TestFloatRendering(t *testing.T) {
 func TestStatsAndMetricsNames(t *testing.T) {
 	h := NewHub(Config{Ring: 8})
 	defer h.Close()
-	h.PublishTick(testSnap(1), testDelta(1))
+	publishTick(h, 1)
 	st := h.StatsSnapshot()
 	if st.Published != 1 || st.Ticks != 1 || st.SnapshotBytes == 0 {
 		t.Fatalf("stats: %+v", st)

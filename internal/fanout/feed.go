@@ -88,16 +88,6 @@ func (s *FeedSnapshot) reset() {
 	*s = FeedSnapshot{Incidents: s.Incidents}
 }
 
-// copyFrom deep-copies src into s (reusing s's slice capacity). The hub
-// copies the published snapshot structurally so the engine may reuse its
-// scratch immediately; the JSON render is deferred until a subscriber
-// actually reads the frame.
-func (s *FeedSnapshot) copyFrom(src *FeedSnapshot) {
-	inc := s.Incidents[:0]
-	*s = *src
-	s.Incidents = append(inc, src.Incidents...)
-}
-
 // reset empties d for reuse, keeping slice capacity.
 func (d *FeedDelta) reset() {
 	d.Opened = d.Opened[:0]
@@ -106,9 +96,9 @@ func (d *FeedDelta) reset() {
 	*d = FeedDelta{Opened: d.Opened, Updated: d.Updated, Closed: d.Closed}
 }
 
-// copyFrom deep-copies src into d (reusing d's slice capacity). The hub
-// keeps its own copy of every published delta so the publisher may reuse
-// its scratch immediately while frames stay immutable.
+// copyFrom deep-copies src into d (reusing d's slice capacity): the
+// start of a subscriber's coalescing merge, which must leave the ring's
+// frames immutable.
 func (d *FeedDelta) copyFrom(src *FeedDelta) {
 	opened, updated, closed := d.Opened[:0], d.Updated[:0], d.Closed[:0]
 	*d = *src

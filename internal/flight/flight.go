@@ -9,11 +9,9 @@
 // is supposed to explain it. The recorder therefore watches a fixed set
 // of anomaly triggers every tick:
 //
-//   - tick_p99          — tick latency p99 over the window breached the SLO
-//     (only when no burn-rate engine is wired; see slo_burn)
 //   - slo_burn          — the multi-window SLO burn-rate engine emitted a
-//     fire/resolve event; supersedes the single-window tick_p99 trigger
-//     when Sources.SLOBurnEvents is set
+//     fire/resolve event (it owns every latency judgement; the recorder's
+//     own tick-latency p99 is reported, never judged)
 //   - ingest_shed       — the daemon dropped raw alerts on a full queue
 //   - journal_drop      — the lifecycle journal evicted events
 //   - queue_high_water  — the ingest queue passed its high-water fraction
@@ -60,8 +58,9 @@ type Config struct {
 	// Dir is the root directory dumps are written under (created on
 	// demand). Empty disables dumping; triggers and health still work.
 	Dir string
-	// SLOTickP99 is the self-SLO on tick latency: the p99 of the sliding
-	// window above this fires tick_p99. Default 1s.
+	// SLOTickP99 is the tick-latency SLO reported next to the sliding
+	// window's p99 in Health; the burn-rate engine is what enforces it.
+	// Default 1s.
 	SLOTickP99 time.Duration
 	// Window is how many recent tick durations the p99 is computed over.
 	// Default 64 — at the daemon's 10s tick, ~10 minutes.
@@ -107,11 +106,7 @@ type Sources struct {
 	// Tracer supplies the recent span-trace ring written into dumps.
 	Tracer *span.Tracer
 	// SLOBurnEvents returns the burn-rate engine's cumulative event count
-	// (fire + resolve edges). When set it SUPERSEDES the recorder's
-	// internal single-window tick-p99 self-SLO: tick_p99 stops being
-	// evaluated and a positive delta here fires slo_burn instead — the
-	// rule engine's fast/slow windows are strictly better at telling a
-	// blip from a breach.
+	// (fire + resolve edges). A positive delta fires slo_burn.
 	SLOBurnEvents func() int64
 	// SLODetail describes the most recent burn event, joined into the
 	// slo_burn trigger detail.
@@ -132,7 +127,6 @@ type Sources struct {
 // Trigger names, stable identifiers used in health reports, events,
 // metrics, and dump file names.
 const (
-	TriggerTickP99     = "tick_p99"
 	TriggerSLOBurn     = "slo_burn"
 	TriggerIngestShed  = "ingest_shed"
 	TriggerJournalDrop = "journal_drop"
@@ -142,7 +136,7 @@ const (
 )
 
 var triggerNames = []string{
-	TriggerTickP99, TriggerSLOBurn, TriggerIngestShed, TriggerJournalDrop,
+	TriggerSLOBurn, TriggerIngestShed, TriggerJournalDrop,
 	TriggerQueueHigh, TriggerProvViolate, TriggerFloodClose,
 }
 
@@ -157,7 +151,7 @@ type TriggerState struct {
 	Fired int64 `json:"fired"`
 	// Last is when the trigger last fired (zero when never).
 	Last time.Time `json:"last,omitempty"`
-	// Detail describes the most recent firing ("p99 1.2s > SLO 1s").
+	// Detail describes the most recent firing, with its measured values.
 	Detail string `json:"detail,omitempty"`
 }
 
@@ -303,10 +297,7 @@ func (r *Recorder) Observe(now time.Time, dur time.Duration) {
 		}
 	}
 
-	if r.src.SLOBurnEvents == nil {
-		edge(TriggerTickP99, r.p99 > r.cfg.SLOTickP99,
-			fmt.Sprintf("tick p99 %s over %d ticks > SLO %s", r.p99, r.wn, r.cfg.SLOTickP99))
-	} else {
+	if r.src.SLOBurnEvents != nil {
 		// The burn-rate engine owns latency (and more) judgement; the
 		// recorder just converts its event stream into dump triggers.
 		cur := r.src.SLOBurnEvents()
@@ -440,10 +431,14 @@ func (r *Recorder) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("skynet_flight_degraded",
 		"1 when any flight-recorder anomaly trigger is firing, else 0.",
 		func() float64 {
-			if r.Health().OK {
-				return 0
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			for _, st := range r.triggers {
+				if st.Firing {
+					return 1
+				}
 			}
-			return 1
+			return 0
 		})
 	reg.GaugeFunc("skynet_flight_tick_p99_seconds",
 		"Sliding-window tick latency p99 watched by the flight recorder.",

@@ -34,11 +34,13 @@ func at(sec int) time.Time {
 	return time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC).Add(time.Duration(sec) * time.Second)
 }
 
-// TestTickP99TriggerFiresAndRecovers induces one slow tick: the p99
-// trigger must fire, write a dump with the span ring, metrics snapshot,
-// and goroutine profile, flip health to degraded — and recover once the
-// slow sample leaves the window.
-func TestTickP99TriggerFiresAndRecovers(t *testing.T) {
+// TestTriggerDumpsEvidenceAndRecovers holds the ingest queue over its
+// high-water mark for one tick: the trigger must fire, write a dump with
+// the span ring, metrics snapshot, and goroutine profile, flip health to
+// degraded — and recover once the queue drains. (It drove the dump
+// through the single-window tick_p99 trigger until the burn-rate engine's
+// slo_burn replaced that one.)
+func TestTriggerDumpsEvidenceAndRecovers(t *testing.T) {
 	dir := dumpRoot(t)
 	tracer := span.NewTracer(4)
 	reg := telemetry.New()
@@ -49,8 +51,10 @@ func TestTickP99TriggerFiresAndRecovers(t *testing.T) {
 	act.End(r, 3)
 	act.Finish()
 
-	rec := New(Config{Dir: dir, SLOTickP99: 100 * time.Millisecond, Window: 4},
-		Sources{Tracer: tracer, Metrics: reg, Incidents: func() any { return []string{"inc-1"} }})
+	var depth atomic.Int64
+	rec := New(Config{Dir: dir, Window: 4},
+		Sources{Tracer: tracer, Metrics: reg, Incidents: func() any { return []string{"inc-1"} },
+			Queue: func() (int, int) { return int(depth.Load()), 100 }})
 
 	var events []Event
 	rec.SetNotify(func(ev Event) { events = append(events, ev) })
@@ -59,13 +63,14 @@ func TestTickP99TriggerFiresAndRecovers(t *testing.T) {
 	if h := rec.Health(); !h.OK {
 		t.Fatalf("healthy tick reported degraded: %+v", h)
 	}
-	rec.Observe(at(10), 500*time.Millisecond) // the induced slow tick
+	depth.Store(95) // the induced backlog
+	rec.Observe(at(10), 10*time.Millisecond)
 	h := rec.Health()
 	if h.OK {
-		t.Fatal("slow tick did not flip health to degraded")
+		t.Fatal("queue over high water did not flip health to degraded")
 	}
-	if len(h.Degraded) != 1 || h.Degraded[0] != TriggerTickP99 {
-		t.Fatalf("degraded = %v, want [%s]", h.Degraded, TriggerTickP99)
+	if len(h.Degraded) != 1 || h.Degraded[0] != TriggerQueueHigh {
+		t.Fatalf("degraded = %v, want [%s]", h.Degraded, TriggerQueueHigh)
 	}
 	if h.Dumps != 1 || h.LastDump == "" {
 		t.Fatalf("dumps = %d lastDump = %q, want one dump", h.Dumps, h.LastDump)
@@ -84,16 +89,14 @@ func TestTickP99TriggerFiresAndRecovers(t *testing.T) {
 	if err != nil || !strings.Contains(string(data), "skynet_test_sentinel") {
 		t.Errorf("metrics.prom missing registry content: %v", err)
 	}
-	if len(events) != 1 || events[0].Trigger != TriggerTickP99 || events[0].DumpDir != h.LastDump {
-		t.Fatalf("events = %+v, want one tick_p99 event carrying the dump dir", events)
+	if len(events) != 1 || events[0].Trigger != TriggerQueueHigh || events[0].DumpDir != h.LastDump {
+		t.Fatalf("events = %+v, want one queue_high_water event carrying the dump dir", events)
 	}
 
-	// Window is 4: four more fast ticks evict the slow sample.
-	for i := 0; i < 4; i++ {
-		rec.Observe(at(20+10*i), 10*time.Millisecond)
-	}
+	depth.Store(0)
+	rec.Observe(at(20), 10*time.Millisecond)
 	if h := rec.Health(); !h.OK {
-		t.Fatalf("health did not recover after slow sample left the window: %+v", h)
+		t.Fatalf("health did not recover after the queue drained: %+v", h)
 	}
 	// Recovery emits no event and no second dump.
 	if len(events) != 1 {
@@ -260,12 +263,12 @@ func TestTwoTriggersWithinCooldown(t *testing.T) {
 	}
 }
 
-// TestSLOBurnSupersedesTickP99 wires the burn-rate engine taps: the
-// internal single-window tick_p99 trigger must stop evaluating (a tick
-// far over the SLO does not fire), a positive burn-event delta fires
-// slo_burn with the engine's detail, and dumps embed the pre-trigger
-// history window as history.json.
-func TestSLOBurnSupersedesTickP99(t *testing.T) {
+// TestSLOBurnOwnsLatencyJudgement wires the burn-rate engine taps: the
+// recorder itself judges no latency (a tick far over the reported SLO
+// fires nothing — the single-window tick_p99 trigger is gone), a
+// positive burn-event delta fires slo_burn with the engine's detail, and
+// dumps embed the pre-trigger history window as history.json.
+func TestSLOBurnOwnsLatencyJudgement(t *testing.T) {
 	dir := dumpRoot(t)
 	var burns atomic.Int64
 	burns.Store(3) // events from before the recorder existed must not fire
@@ -282,8 +285,11 @@ func TestSLOBurnSupersedesTickP99(t *testing.T) {
 	rec.SetNotify(func(ev Event) { events = append(events, ev) })
 
 	rec.Observe(at(0), 500*time.Millisecond) // 5x the tick SLO
+	if h := rec.Health(); h.TickP99 != 500*time.Millisecond || h.SLOTickP99 != 100*time.Millisecond {
+		t.Fatalf("health reports p99 %s against SLO %s, want 500ms against 100ms", h.TickP99, h.SLOTickP99)
+	}
 	if h := rec.Health(); !h.OK {
-		t.Fatalf("tick_p99 fired despite burn-rate engine wired: %+v", h.Degraded)
+		t.Fatalf("a slow tick degraded health without a burn event: %+v", h.Degraded)
 	}
 	burns.Add(1)
 	rec.Observe(at(10), time.Millisecond)

@@ -67,7 +67,6 @@ import (
 	"skynet/internal/incident"
 	"skynet/internal/intern"
 	"skynet/internal/par"
-	"skynet/internal/prof"
 	"skynet/internal/provenance"
 	"skynet/internal/span"
 	"skynet/internal/topology"
@@ -271,13 +270,11 @@ type Locator struct {
 	// branch off the hot path.
 	prov *provenance.Recorder
 
-	// spans is the tracing context of the current engine tick; the zero
-	// Scope (tracing off) makes every span call a no-op.
-	spans span.Scope
-
-	// profL labels the expiry fan-out with its pprof stage; nil
-	// (profiling off) makes every call a nil-receiver no-op.
-	profL *prof.Labeler
+	// scope is the stage seam of the engine's current addbatch or check
+	// stage: the fan-outs and the components phase are entered through
+	// it. The zero Scope (no tracing, no profiling) makes each a plain
+	// call.
+	scope span.Scope
 
 	// Dense-ID layer. Interning happens only on the caller's goroutine
 	// (Add, or the serial prologue of AddBatch); parallel phases only
@@ -386,15 +383,11 @@ func (l *Locator) Workers() int { return l.workers }
 // Add; with no recorder the pipeline runs exactly as before.
 func (l *Locator) EnableProvenance(rec *provenance.Recorder) { l.prov = rec }
 
-// SetSpans installs the span context for the next AddBatch/Check: the
-// batch fan-out, expiry, and component-count phases appear as children
-// of the scope's parent span. The engine refreshes it every tick; it
-// never affects incident output.
-func (l *Locator) SetSpans(sc span.Scope) { l.spans = sc }
-
-// SetProf installs the pprof stage labeler; the expiry fan-out then runs
-// under its stage (and shard) labels. Never affects incident output.
-func (l *Locator) SetProf(p *prof.Labeler) { l.profL = p }
+// SetScope installs the stage seam for the next AddBatch/Check: the
+// batch fan-out, expiry, components and component-count phases become
+// child stages of the scope's owner. The engine refreshes it before
+// each of the two calls; it never affects incident output.
+func (l *Locator) SetScope(sc span.Scope) { l.scope = sc }
 
 // ShardNodes reports the live main-tree node count of one shard.
 func (l *Locator) ShardNodes(i int) int { return len(l.shards[i].live) }
@@ -599,8 +592,7 @@ func (l *Locator) AddBatch(batch []alert.Alert) {
 	}
 	// Fork tasks mix kinds: task < workers absorbs into that task's share
 	// of the owning incidents, the rest consolidate one node shard each.
-	f := l.spans.Fork("addbatch_fan", l.workers+len(l.shards))
-	par.DoTimed(l.workers, l.workers+len(l.shards), f.Timer(), func(task int) {
+	l.scope.Fork("addbatch_fan", l.workers, l.workers+len(l.shards), func(task int) {
 		if task < l.workers {
 			for i, in := range owners {
 				if in != nil && in.ID%l.workers == task {
@@ -714,11 +706,8 @@ func (l *Locator) Check(now time.Time) []*incident.Incident {
 // node shard; incident timeout stays serial so the closed list keeps its
 // insertion order.
 func (l *Locator) expire(now time.Time) {
-	f := l.spans.Fork("expire", len(l.shards))
 	l.expireNow = now
-	l.profL.Enter(prof.StageLocatorExpire)
-	par.DoTimed(l.workers, len(l.shards), f.Timer(), l.expireFn)
-	l.profL.Exit()
+	l.scope.Fork("expire", l.workers, len(l.shards), l.expireFn)
 	removed := false
 	for s := range l.shards {
 		sh := &l.shards[s]
@@ -1039,17 +1028,16 @@ func (l *Locator) generate(now time.Time) []*incident.Incident {
 	if len(l.members) == 0 {
 		return nil
 	}
-	cmR := l.spans.Begin("components")
+	cm := l.scope.Enter("components", nil)
 	comps := l.components()
-	l.spans.End(cmR, len(comps))
+	cm.Exit(len(comps))
 	if cap(l.countBuf) < len(comps) {
 		l.countBuf = make([]compCount, 0, 2*len(comps))
 	}
 	counts := l.countBuf[:len(comps)]
 	l.counts = counts
 	l.growTypeScratch()
-	cf := l.spans.Fork("compcount", len(comps))
-	par.DoTimedWorkers(l.workers, len(comps), cf.Timer(), l.countFn)
+	l.scope.ForkWorkers("compcount", l.workers, len(comps), l.countFn)
 	var created []*incident.Incident
 	for ci, comp := range comps {
 		if !l.cfg.Thresholds.Crossed(counts[ci].failureTypes, counts[ci].allTypes) {

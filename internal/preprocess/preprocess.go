@@ -40,7 +40,6 @@ import (
 	"skynet/internal/hierarchy"
 	"skynet/internal/intern"
 	"skynet/internal/par"
-	"skynet/internal/prof"
 	"skynet/internal/provenance"
 	"skynet/internal/span"
 	"skynet/internal/topology"
@@ -232,13 +231,10 @@ type Preprocessor struct {
 	// branch off the hot path.
 	prov *provenance.Recorder
 
-	// spans is the tracing context of the current engine tick; the zero
-	// Scope (tracing off) makes every span call a no-op.
-	spans span.Scope
-
-	// profL labels the classify/consolidate fan-outs with their pprof
-	// stage; nil (profiling off) makes every call a nil-receiver no-op.
-	profL *prof.Labeler
+	// scope is the preprocess stage's seam for the current engine tick:
+	// classify, consolidate and sweep are entered through it. The zero
+	// Scope (no tracing, no profiling) makes each a plain call.
+	scope span.Scope
 
 	shards []preShard
 
@@ -316,16 +312,11 @@ func (p *Preprocessor) Workers() int { return p.workers }
 // with no recorder the pipeline runs exactly as before.
 func (p *Preprocessor) EnableProvenance(rec *provenance.Recorder) { p.prov = rec }
 
-// SetSpans installs the span context for the next Tick: the classify and
-// consolidate fan-outs and the sweep appear as children of the scope's
-// parent span. The engine refreshes it every tick; it never affects what
-// the preprocessor emits.
-func (p *Preprocessor) SetSpans(sc span.Scope) { p.spans = sc }
-
-// SetProf installs the pprof stage labeler; the classify and consolidate
-// fan-outs then run under their stage (and shard) labels. Never affects
-// what the preprocessor emits.
-func (p *Preprocessor) SetProf(l *prof.Labeler) { p.profL = l }
+// SetScope installs the stage seam for the next Tick: the classify and
+// consolidate fan-outs and the sweep become child stages of the scope's
+// owner. The engine refreshes it every tick; it never affects what the
+// preprocessor emits.
+func (p *Preprocessor) SetScope(sc span.Scope) { p.scope = sc }
 
 // PendingDepth reports the number of raw alerts buffered and not yet
 // absorbed — the preprocessor's queue depth, below maxPending.
@@ -379,9 +370,8 @@ func (p *Preprocessor) AddBatch(b *alert.Batch) {
 // the endpoints swapped when the run is the mirrored half of a link
 // alert — and has the lineage recorder, if any, number the new rows.
 // Whenever the pending columns reach maxPending they are absorbed, here
-// and not in a tick: no span is opened and no profiler label set, because
-// the tick's span.Scope is stale and the labeler belongs to the ticking
-// goroutine.
+// and not in a tick: on the zero Scope, because the tick's is stale and
+// its labeler belongs to the ticking goroutine.
 func (p *Preprocessor) appendRun(b *alert.Batch, lo, hi int, mirrored bool) {
 	for lo < hi {
 		at := p.pending.Len()
@@ -392,7 +382,7 @@ func (p *Preprocessor) appendRun(b *alert.Batch, lo, hi int, mirrored bool) {
 		}
 		p.pendingLin = p.prov.IngestRange(p.pendingLin, &p.pending, at, p.pending.Len(), mirrored)
 		if p.pending.Len() == maxPending {
-			p.absorb(span.Scope{}, nil)
+			p.absorb(span.Scope{})
 		}
 		lo = cut
 	}
@@ -402,10 +392,8 @@ func (p *Preprocessor) appendRun(b *alert.Batch, lo, hi int, mirrored bool) {
 // classifies and normalizes every alert in parallel, a serial pass
 // interns IDs and collects corroboration evidence, and phase B
 // consolidates each shard's alerts in arrival order under a single
-// owner. The two fan-outs appear as children of spans and run under
-// profL's stage labels; the zero Scope and a nil labeler make both
-// no-ops.
-func (p *Preprocessor) absorb(spans span.Scope, profL *prof.Labeler) {
+// owner. The two fan-outs are stages forked through sc.
+func (p *Preprocessor) absorb(sc span.Scope) {
 	n := p.pending.Len()
 	if n == 0 {
 		return
@@ -422,9 +410,7 @@ func (p *Preprocessor) absorb(spans span.Scope, profL *prof.Labeler) {
 	// cannot reorder or race anything.
 	chunkSize := (n + p.workers - 1) / p.workers
 	nchunks := (n + chunkSize - 1) / chunkSize
-	cf := spans.Fork("classify", nchunks)
-	profL.Enter(prof.StageClassify)
-	par.DoTimed(p.workers, nchunks, cf.Timer(), func(c int) {
+	sc.Fork("classify", p.workers, nchunks, func(c int) {
 		lo, hi := c*chunkSize, (c+1)*chunkSize
 		if hi > n {
 			hi = n
@@ -439,7 +425,6 @@ func (p *Preprocessor) absorb(spans span.Scope, profL *prof.Labeler) {
 			p.prepareRow(i, &p.prep[i], scratch)
 		}
 	})
-	profL.Exit()
 	// Serial pass: intern IDs into the batch's dense-ID columns
 	// (single-writer tables), route to shards, record corroboration
 	// evidence (max observation time per location), resolve phase-A
@@ -492,9 +477,7 @@ func (p *Preprocessor) absorb(spans span.Scope, profL *prof.Labeler) {
 	// aggregate sees its observations in arrival order — exactly the
 	// serial semantics. Merges read only the scalar columns; a full
 	// Alert is materialized once per new aggregate, not per row.
-	sf := spans.Fork("consolidate", nshards)
-	profL.Enter(prof.StageConsolidate)
-	par.DoTimed(p.workers, nshards, sf.Timer(), func(s int) {
+	sc.Fork("consolidate", p.workers, nshards, func(s int) {
 		shard := &p.shards[s]
 		shard.dedup = 0
 		shard.newAggs = shard.newAggs[:0]
@@ -516,7 +499,6 @@ func (p *Preprocessor) absorb(spans span.Scope, profL *prof.Labeler) {
 			shard.keys = mergeSortedAggs(shard.keys, shard.newAggs)
 		}
 	})
-	profL.Exit()
 	for s := range p.shards {
 		p.stats.Deduplicated += p.shards[s].dedup
 		if len(p.shards[s].provAbsorbed) > 0 {
@@ -640,14 +622,14 @@ func (p *Preprocessor) Tick(now time.Time) []alert.Alert {
 	if p.prov != nil {
 		p.prov.BeginEmitWindow()
 	}
-	p.absorb(p.spans, p.profL)
+	p.absorb(p.scope)
 	for s := range p.shards {
 		p.shards[s].routed, p.shards[s].routing = p.shards[s].routing, 0
 	}
 	// Sweep aggregates in one global lessAggKey order (a k-way merge of
 	// the shards' sorted key lists) so emission order, assigned IDs, and
 	// the related-surge decisions are identical for every worker count.
-	swR := p.spans.Begin("sweep")
+	sw := p.scope.Enter("sweep", nil)
 	p.emitBuf = p.emitBuf[:0]
 	p.sweep(now, func(shard *preShard, g *aggregate) {
 		if now.Sub(g.lastSeen) > p.cfg.AggWindow {
@@ -681,7 +663,7 @@ func (p *Preprocessor) Tick(now time.Time) []alert.Alert {
 		p.emitBuf = append(p.emitBuf, p.emit(g, now))
 	})
 	p.compactKeys()
-	p.spans.End(swR, len(p.emitBuf))
+	sw.Exit(len(p.emitBuf))
 	// Expire stale corroboration evidence.
 	for i := 0; i < len(p.corroList); {
 		loc := p.corroList[i]
@@ -848,7 +830,7 @@ func (p *Preprocessor) Drain(now time.Time) []alert.Alert {
 	if p.prov != nil {
 		p.prov.BeginEmitWindow()
 	}
-	p.absorb(p.spans, p.profL)
+	p.absorb(p.scope)
 	p.emitBuf = p.emitBuf[:0]
 	p.sweep(now, func(shard *preShard, g *aggregate) {
 		if !g.emitted && !g.suspended && !p.isSporadic(g) {

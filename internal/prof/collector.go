@@ -135,7 +135,7 @@ func NewCollector(cfg CollectorConfig) *Collector {
 			"Profile windows that failed to capture (e.g. a competing CPU profile).")
 		c.windowCPU = reg.Gauge("skynet_prof_window_cpu_seconds",
 			"CPU seconds sampled in the most recent profile window.")
-		c.stageGauges = make(map[string]*telemetry.Gauge, int(numStages)+1)
+		c.stageGauges = make(map[string]*telemetry.Gauge, len(stageNames)+1)
 		for _, name := range StageNames() {
 			c.stageGauges[name] = reg.GaugeWith("skynet_prof_stage_cpu_fraction",
 				telemetry.Label(LabelStage, name),

@@ -3,6 +3,7 @@ package prof
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"runtime/pprof"
 	"testing"
 )
@@ -11,9 +12,13 @@ import (
 // decoder: the heap profile always has samples and a fixed four-dimension
 // value schema, so the assertions are deterministic.
 func TestParseHeapProfile(t *testing.T) {
-	// Guarantee at least one live allocation large enough to sample.
+	// Guarantee at least one live allocation large enough to sample, and
+	// a completed GC cycle after it: the heap profile reports in-use
+	// bytes as of the last one, and reads 0 when everything sampled
+	// before it has since been freed.
 	sink := make([]byte, 1<<20)
 	defer func() { _ = sink[0] }()
+	runtime.GC()
 
 	var buf bytes.Buffer
 	if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {

@@ -5,13 +5,14 @@
 // runtime/metrics sampler that feeds Go-runtime health (GC pauses, heap,
 // scheduler latency) into the telemetry registry and tick-indexed TSDB.
 //
-// Label taxonomy (DESIGN.md §11): every profiled fan-out runs under a
-// `stage` label naming the pipeline stage (classify, consolidate,
-// locator_addbatch, locator_expire, refine_score, sop); worker goroutines
-// additionally carry a `shard` label with their worker index; and while a
-// flood episode is open every stage context also carries an `episode`
-// label with the episode ID, so a CPU profile captured mid-flood can be
-// sliced to exactly the work that flood caused.
+// Label taxonomy (DESIGN.md §6): every labeled stage runs under a `stage`
+// label carrying the stage's name in the one stage vocabulary — the five
+// parallel fan-outs (classify, consolidate, addbatch_fan, expire,
+// refine_score) and the SOP loop; worker goroutines additionally carry a
+// `shard` label with their worker index; and while a flood episode is
+// open every stage context also carries an `episode` label with the
+// episode ID, so a CPU profile captured mid-flood can be sliced to
+// exactly the work that flood caused.
 //
 // The labeler is built for the tick hot path: every label context is
 // precomputed (rebuilt only on the rare episode open/close), so entering
@@ -24,6 +25,7 @@ package prof
 import (
 	"context"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -31,42 +33,18 @@ import (
 	"skynet/internal/par"
 )
 
-// Stage identifies one profiled pipeline stage. Values index the
-// labeler's precomputed context table — keep stageNames in sync.
-type Stage uint8
-
-// The profiled pipeline stages, in pipeline order.
-const (
-	StageClassify      Stage = iota // preprocess phase A: parallel FT-tree classification
-	StageConsolidate                // preprocess phase B: per-shard consolidation
-	StageLocatorAdd                 // locator AddBatch upserts
-	StageLocatorExpire              // locator parallel expiry sweep
-	StageRefineScore                // evaluator dirty-incident refine + score fan-out
-	StageSOP                        // per-incident SOP action loop
-	numStages
-)
-
-var stageNames = [numStages]string{
-	"classify", "consolidate", "locator_addbatch",
-	"locator_expire", "refine_score", "sop",
+// stageNames is the labeled subset of the stage vocabulary, in pipeline
+// order: span.Scope enters every stage by name, and the names listed
+// here also set a pprof label. Each is a leaf — no labeled stage contains
+// another stage — which is what lets Exit restore the base label set.
+var stageNames = [...]string{
+	"classify", "consolidate", "addbatch_fan", "expire", "refine_score", "sop",
 }
 
-// String returns the stage's label value.
-func (s Stage) String() string {
-	if s < numStages {
-		return stageNames[s]
-	}
-	return "unknown"
-}
-
-// StageNames returns the stage label values in Stage order — the stable
-// vocabulary shared by the collector's telemetry, /api/profile, and
-// skynet-top.
-func StageNames() []string {
-	out := make([]string, numStages)
-	copy(out, stageNames[:])
-	return out
-}
+// StageNames returns the stage label values in pipeline order — the
+// stable vocabulary shared by the collector's telemetry, /api/profile,
+// and skynet-top.
+func StageNames() []string { return slices.Clone(stageNames[:]) }
 
 // Label keys attached to profiled goroutines.
 const (
@@ -117,7 +95,7 @@ type Labeler struct {
 	maxShards int
 	episode   uint64
 	base      context.Context
-	stages    [numStages]stageCtx
+	stages    [len(stageNames)]stageCtx
 }
 
 // NewLabeler builds a labeler with shard contexts for worker indexes
@@ -144,8 +122,8 @@ func (l *Labeler) rebuild() {
 			pprof.Labels(LabelEpisode, strconv.FormatUint(l.episode, 10)))
 	}
 	l.base = base
-	for s := Stage(0); s < numStages; s++ {
-		ctx := pprof.WithLabels(base, pprof.Labels(LabelStage, stageNames[s]))
+	for s, name := range stageNames {
+		ctx := pprof.WithLabels(base, pprof.Labels(LabelStage, name))
 		shards := make([]context.Context, l.maxShards)
 		for w := range shards {
 			shards[w] = pprof.WithLabels(ctx, pprof.Labels(LabelShard, strconv.Itoa(w)))
@@ -166,14 +144,23 @@ func (l *Labeler) SetEpisode(id uint64) {
 }
 
 // Enter marks the calling goroutine (and, via the spawn hook, any worker
-// goroutines forked while inside) as running stage s.
-func (l *Labeler) Enter(s Stage) {
+// goroutines forked while inside) as running the named stage, and
+// reports whether it did: false for a nil labeler and for the stages of
+// the vocabulary that carry no label. Only a true Enter is paired with
+// an Exit.
+func (l *Labeler) Enter(name string) bool {
 	if l == nil {
-		return
+		return false
 	}
-	sc := &l.stages[s]
-	active.Store(sc)
-	pprof.SetGoroutineLabels(sc.ctx)
+	for s := range stageNames {
+		if stageNames[s] == name {
+			sc := &l.stages[s]
+			active.Store(sc)
+			pprof.SetGoroutineLabels(sc.ctx)
+			return true
+		}
+	}
+	return false
 }
 
 // Exit clears the stage label, restoring the base (episode-only) label

@@ -77,7 +77,7 @@ func shardSet(p *Profile, stage string) map[string]bool {
 func TestStageLabelsSurviveParDo(t *testing.T) {
 	defer clearLabels()
 	l := NewLabeler(4)
-	l.Enter(StageClassify)
+	l.Enter("classify")
 	defer l.Exit()
 
 	p := captureUnderFanOut(t, 4, func(n int, task func(i int)) {
@@ -97,7 +97,7 @@ func TestStageLabelsSurviveParDo(t *testing.T) {
 func TestStageLabelsSurviveParDoTimed(t *testing.T) {
 	defer clearLabels()
 	l := NewLabeler(4)
-	l.Enter(StageRefineScore)
+	l.Enter("refine_score")
 	defer l.Exit()
 
 	var timed atomic.Int32
@@ -124,7 +124,7 @@ func TestEpisodeLabelTagsWorkers(t *testing.T) {
 	defer clearLabels()
 	l := NewLabeler(2)
 	l.SetEpisode(42)
-	l.Enter(StageConsolidate)
+	l.Enter("consolidate")
 
 	p := captureUnderFanOut(t, 2, func(n int, task func(i int)) {
 		par.Do(2, n, task)
@@ -143,7 +143,7 @@ func TestEpisodeLabelTagsWorkers(t *testing.T) {
 	}
 
 	l.SetEpisode(0)
-	l.Enter(StageConsolidate)
+	l.Enter("consolidate")
 	p = goroutineProfile(t)
 	l.Exit()
 	for _, s := range p.Samples {
@@ -158,7 +158,9 @@ func TestEpisodeLabelTagsWorkers(t *testing.T) {
 // unconditionally.
 func TestLabelerNilSafe(t *testing.T) {
 	var l *Labeler
-	l.Enter(StageSOP)
+	if l.Enter("sop") {
+		t.Error("nil labeler reported entering a stage")
+	}
 	l.Exit()
 	l.SetEpisode(7)
 }
@@ -167,22 +169,26 @@ func TestLabelerNilSafe(t *testing.T) {
 // telemetry, /api/profile, and skynet-top.
 func TestStageNames(t *testing.T) {
 	want := []string{
-		"classify", "consolidate", "locator_addbatch",
-		"locator_expire", "refine_score", "sop",
+		"classify", "consolidate", "addbatch_fan",
+		"expire", "refine_score", "sop",
 	}
 	got := StageNames()
 	if len(got) != len(want) {
 		t.Fatalf("StageNames() = %v, want %v", got, want)
 	}
+	defer clearLabels()
+	l := NewLabeler(1)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("stage %d = %q, want %q", i, got[i], want[i])
 		}
-		if Stage(i).String() != want[i] {
-			t.Errorf("Stage(%d).String() = %q, want %q", i, Stage(i).String(), want[i])
+		if !l.Enter(want[i]) {
+			t.Errorf("Enter(%q) set no label", want[i])
 		}
+		l.Exit()
 	}
-	if Stage(250).String() != "unknown" {
-		t.Errorf("out-of-range stage stringified as %q", Stage(250).String())
+	// The rest of the vocabulary is span-only: entering it is a no-op.
+	if l.Enter("preprocess") {
+		t.Error(`Enter("preprocess") set a label; only the names in StageNames do`)
 	}
 }

@@ -21,7 +21,7 @@ import (
 //	skynet_runtime_sched_latency_p99_seconds  p99 runnable-wait since last refresh
 //	skynet_runtime_mutex_wait_seconds       cumulative mutex wait (all goroutines)
 //
-// Determinism contract (DESIGN.md §11): everything here measures the
+// Determinism contract (DESIGN.md §6): everything here measures the
 // host machine, not the alert stream, so the skynet_runtime_ prefix is
 // excluded by tsdb.DeterministicFilter — replay history snapshots stay
 // byte-identical with the sampler enabled. The daemon's unfiltered store

@@ -21,10 +21,13 @@
 //     tick of an arbitrarily long run.
 //
 // The Tracer is the retention side (ring, slowest, stage stats); Active
-// is the single-tick builder the engine drives; Scope threads a (trace,
-// parent) pair into pipeline stages so their internal phases appear as
-// children; Fork carries a span group through par.DoTimed so parallel
-// shards appear as child spans with shard ids and queue-wait times.
+// is the single-tick builder; Scope is the engine's one stage seam — what
+// a stage is entered through and what it hands to the stages inside it:
+// Enter/Exit mark a serial stage (span, item count, pprof label, latency
+// histogram, each where configured) and Fork runs a parallel one, its
+// shards appearing as child spans with shard ids and queue-wait times.
+// Stage names are one vocabulary (DESIGN.md §6): the span name is the
+// pprof `stage` label value is the histogram's name segment.
 package span
 
 import (
@@ -33,6 +36,10 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"skynet/internal/par"
+	"skynet/internal/prof"
+	"skynet/internal/telemetry"
 )
 
 // Region identifies one span within an Active trace. The zero value is
@@ -241,8 +248,8 @@ func copyTrace(tr Trace) Trace {
 }
 
 // Active is the span tree of the tick in flight. All methods are
-// nil-safe; Begin/End/Fork must be called from the tick's owner
-// goroutine (shard slots inside a Fork are written by workers, but the
+// nil-safe; spans are opened and sealed on the tick's owner goroutine
+// only (shard slots inside a Scope.Fork are written by workers, but the
 // slice itself only grows between forks).
 type Active struct {
 	tr *Tracer
@@ -284,13 +291,11 @@ func (a *Active) SetEpisode(id uint64) {
 	a.t.Episode = id
 }
 
-// Scope packages this trace with a parent region for handing to a
-// pipeline stage. A nil Active yields the inert zero Scope.
-func (a *Active) Scope(parent Region) Scope {
-	if a == nil {
-		return Scope{}
-	}
-	return Scope{a: a, parent: parent}
+// Scope returns the tick's root scope: stages entered through it open
+// directly under the tick span and run under lab's pprof labels. Both
+// the receiver and lab may be nil; with both nil it is the zero Scope.
+func (a *Active) Scope(lab *prof.Labeler) Scope {
+	return Scope{a: a, parent: Root, lab: lab}
 }
 
 // Finish seals the root span, retires the trace into the tracer, and
@@ -306,38 +311,82 @@ func (a *Active) Finish() *Trace {
 	return &a.t
 }
 
-// Scope is the span context a stage receives: new spans open under the
-// stage's own span in the engine's tree. The zero Scope is inert — every
-// method returns immediately — so stages hold one unconditionally.
+// Scope is the context a stage receives: stages entered through it open
+// as children of the stage that handed it out, and the labeled ones of
+// the vocabulary run under their pprof label. The zero Scope is inert —
+// no span, no label, no clock read — so stages hold one unconditionally.
 type Scope struct {
 	a      *Active
 	parent Region
+	lab    *prof.Labeler
 }
 
-// Enabled reports whether the scope records anything.
-func (s Scope) Enabled() bool { return s.a != nil }
+// Stage is one entered serial stage. Its embedded Scope is what the
+// stage hands to the stages inside it.
+type Stage struct {
+	Scope
+	hist    *telemetry.Histogram
+	start   time.Time // set only when hist is
+	labeled bool
+}
 
-// Begin opens a child span under the scope's parent.
-func (s Scope) Begin(name string) Region {
-	if s.a == nil {
-		return None
+// Enter opens the named stage under the scope: a child span when the
+// scope traces, the stage's pprof label when the name is a labeled one,
+// and — for the engine's top-level stages, which pass their
+// skynet_stage_<name>_seconds histogram — one latency observation.
+func (s Scope) Enter(name string, h *telemetry.Histogram) Stage {
+	st := Stage{Scope: s, hist: h, labeled: s.lab.Enter(name)}
+	st.parent = s.a.Begin(s.parent, name)
+	if h != nil {
+		st.start = time.Now()
 	}
-	return s.a.Begin(s.parent, name)
+	return st
 }
 
-// End seals a span opened by this scope's Begin.
-func (s Scope) End(r Region, items int) { s.a.End(r, items) }
+// Exit seals the stage with the number of units it processed.
+func (st Stage) Exit(items int) {
+	if st.labeled {
+		st.lab.Exit()
+	}
+	st.a.End(st.parent, items)
+	if st.hist != nil {
+		st.hist.Observe(time.Since(st.start).Seconds())
+	}
+}
 
-// Fork pre-allocates n shard spans under the scope's parent, one per
-// task of an imminent par fan-out, and returns the group. Returns nil
-// when the scope is inert; Fork.Timer on a nil group returns a nil
-// callback, which par.DoTimed treats as plain par.Do — so the composed
-// call site costs nothing when tracing is off.
-func (s Scope) Fork(name string, n int) *Fork {
+// Fork runs fn(i) for every i in [0, n) on up to workers goroutines as
+// the named parallel stage: par.Do, with one shard span per task under
+// the scope when it traces, and the stage's pprof label (refined per
+// worker with its shard index) when the name is a labeled one. On the
+// zero Scope it is exactly par.Do.
+func (s Scope) Fork(name string, workers, n int, fn func(i int)) {
+	labeled := s.lab.Enter(name)
+	par.DoTimed(workers, n, s.shards(name, n), fn)
+	if labeled {
+		s.lab.Exit()
+	}
+}
+
+// ForkWorkers is Fork for tasks that share per-worker scratch: fn also
+// receives the claiming worker's index (par.DoWorkers).
+func (s Scope) ForkWorkers(name string, workers, n int, fn func(worker, task int)) {
+	labeled := s.lab.Enter(name)
+	par.DoTimedWorkers(workers, n, s.shards(name, n), fn)
+	if labeled {
+		s.lab.Exit()
+	}
+}
+
+// shards pre-allocates n shard spans under the scope's parent, one per
+// task of an imminent fan-out, and returns the per-task completion
+// callback par.DoTimed fills them through. It returns nil when the scope
+// does not trace, which par.DoTimed treats as plain par.Do — so an
+// untraced fan-out reads no clock.
+func (s Scope) shards(name string, n int) func(i int, start time.Time, d time.Duration) {
 	if s.a == nil || n <= 0 {
 		return nil
 	}
-	f := &Fork{a: s.a, base: int32(len(s.a.t.Spans)), n: n, start: time.Since(s.a.t.Start)}
+	f := &fork{a: s.a, base: int32(len(s.a.t.Spans)), n: n, start: time.Since(s.a.t.Start)}
 	for i := 0; i < n; i++ {
 		s.a.t.Spans = append(s.a.t.Spans, Span{
 			Name:   name,
@@ -346,31 +395,22 @@ func (s Scope) Fork(name string, n int) *Fork {
 			Start:  f.start,
 		})
 	}
-	return f
+	return f.record
 }
 
-// Fork is a group of shard spans covering one parallel fan-out. Each
+// fork is a group of shard spans covering one parallel fan-out. Each
 // task writes only its pre-allocated slot, so recording is race-free
 // without locks.
-type Fork struct {
+type fork struct {
 	a     *Active
 	base  int32
 	n     int
 	start time.Duration // fork-open offset, for queue-wait accounting
 }
 
-// Timer returns the per-task completion callback for par.DoTimed, or
-// nil when the fork is disabled (nil receiver).
-func (f *Fork) Timer() func(i int, start time.Time, d time.Duration) {
-	if f == nil {
-		return nil
-	}
-	return f.record
-}
-
 // record fills task i's span slot. Called concurrently by par workers;
 // each i is distinct, so slots never race.
-func (f *Fork) record(i int, start time.Time, d time.Duration) {
+func (f *fork) record(i int, start time.Time, d time.Duration) {
 	if i < 0 || i >= f.n {
 		return
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"skynet/internal/par"
+	"skynet/internal/telemetry"
 )
 
 func TestNilTracerIsInert(t *testing.T) {
@@ -20,16 +20,23 @@ func TestNilTracerIsInert(t *testing.T) {
 		t.Fatalf("Begin on nil Active = %d, want None", r)
 	}
 	a.End(r, 3) // must not panic
-	sc := a.Scope(Root)
-	if sc.Enabled() {
-		t.Fatal("scope of nil Active must be inert")
+	sc := a.Scope(nil)
+	if sc != (Scope{}) {
+		t.Fatal("scope of nil Active and nil labeler must be the zero Scope")
 	}
-	if f := sc.Fork("shards", 4); f != nil {
-		t.Fatal("Fork on inert scope must be nil")
+	st := sc.Enter("stage", nil)
+	if !st.start.IsZero() {
+		t.Fatal("Enter on the zero Scope with no histogram must not read the clock")
 	}
-	var f *Fork
-	if f.Timer() != nil {
-		t.Fatal("Timer on nil Fork must be nil so DoTimed degrades to Do")
+	st.Exit(3) // must not panic
+	if sc.shards("shards", 4) != nil {
+		t.Fatal("an inert scope's shard callback must be nil so par.DoTimed degrades to par.Do")
+	}
+	ran := 0
+	sc.Fork("shards", 1, 4, func(int) { ran++ })
+	sc.ForkWorkers("shards", 1, 4, func(_, _ int) { ran++ })
+	if ran != 8 {
+		t.Fatalf("inert forks ran %d of 8 tasks", ran)
 	}
 	if a.Finish() != nil {
 		t.Fatal("Finish on nil Active must return nil")
@@ -40,12 +47,15 @@ func TestSpanTreeStructure(t *testing.T) {
 	tr := NewTracer(4)
 	now := time.Date(2024, 7, 2, 11, 0, 0, 0, time.UTC)
 	a := tr.StartTick(7, now)
-	pre := a.Begin(Root, "preprocess")
-	cls := a.Scope(pre).Begin("classify")
-	a.End(cls, 100)
-	a.End(pre, 42)
-	loc := a.Begin(Root, "locate")
-	a.End(loc, 5)
+	hist := telemetry.New().Histogram("stage_seconds", "Test.", telemetry.LatencyBuckets())
+	root := a.Scope(nil)
+	pre := root.Enter("preprocess", hist)
+	pre.Enter("classify", nil).Exit(100)
+	pre.Exit(42)
+	root.Enter("locate", nil).Exit(5)
+	if hist.Count() != 1 {
+		t.Errorf("stage histogram observed %d times, want once (preprocess only)", hist.Count())
+	}
 	fin := a.Finish()
 	if fin == nil {
 		t.Fatal("Finish returned nil")
@@ -76,13 +86,12 @@ func TestSpanTreeStructure(t *testing.T) {
 func TestForkRecordsShardSpansUnderPar(t *testing.T) {
 	tr := NewTracer(4)
 	a := tr.StartTick(1, time.Now())
-	st := a.Begin(Root, "evaluate")
+	st := a.Scope(nil).Enter("evaluate", nil)
 	const n = 16
-	f := a.Scope(st).Fork("refine_score", n)
-	par.DoTimed(4, n, f.Timer(), func(i int) {
+	st.Fork("refine_score", 4, n, func(i int) {
 		time.Sleep(time.Duration(i%3) * 100 * time.Microsecond)
 	})
-	a.End(st, n)
+	st.Exit(n)
 	fin := a.Finish()
 	shards := 0
 	for _, sp := range fin.Spans {
@@ -166,10 +175,9 @@ func TestStageStatsAggregate(t *testing.T) {
 func TestTraceJSONAndRender(t *testing.T) {
 	tr := NewTracer(4)
 	a := tr.StartTick(9, time.Now())
-	st := a.Begin(Root, "locate")
-	f := a.Scope(st).Fork("addbatch", 8)
-	par.DoTimed(2, 8, f.Timer(), func(i int) {})
-	a.End(st, 12)
+	st := a.Scope(nil).Enter("locate", nil)
+	st.ForkWorkers("addbatch", 2, 8, func(_, _ int) {})
+	st.Exit(12)
 	fin := a.Finish()
 
 	raw, err := json.Marshal(fin)

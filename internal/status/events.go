@@ -20,7 +20,7 @@ const (
 	// transition (created, updated, zoomed, scored, closed).
 	EventTypeIncident = fanout.EventIncident
 	// EventTypeAnomaly carries a flight.Event — a flight-recorder trigger
-	// firing (tick_p99, ingest_shed, ...).
+	// firing (slo_burn, ingest_shed, ...).
 	EventTypeAnomaly = fanout.EventAnomaly
 	// EventTypeSnapshot carries the full incident-feed state as of one
 	// tick — what a fresh or resyncing consumer renders from.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,7 +77,8 @@ func TestSSEDeliversJournalAndFlightEvents(t *testing.T) {
 
 	journal := telemetry.NewJournal(16)
 	journal.SetNotify(func(ev telemetry.Event) { hub.Publish(EventTypeIncident, ev) })
-	rec := flight.New(flight.Config{Window: 4, SLOTickP99: time.Millisecond}, flight.Sources{})
+	var shed atomic.Int64
+	rec := flight.New(flight.Config{Window: 4}, flight.Sources{Shed: shed.Load})
 	rec.SetNotify(func(ev flight.Event) { hub.Publish(EventTypeAnomaly, ev) })
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -98,7 +100,8 @@ func TestSSEDeliversJournalAndFlightEvents(t *testing.T) {
 	}
 
 	journal.Append(telemetry.Event{Type: telemetry.EventCreated, Incident: 7, Root: "RG01"})
-	rec.Observe(epoch, time.Second) // breaches the 1ms SLO → anomaly event
+	shed.Add(1)
+	rec.Observe(epoch, time.Millisecond) // a shed since the last tick → anomaly event
 
 	frames := readFrames(t, bufio.NewReader(resp.Body), 2)
 	if frames[0].event != EventTypeIncident {
@@ -115,7 +118,7 @@ func TestSSEDeliversJournalAndFlightEvents(t *testing.T) {
 		t.Fatalf("frame 1 event = %q", frames[1].event)
 	}
 	var fe flight.Event
-	if err := json.Unmarshal([]byte(frames[1].data), &fe); err != nil || fe.Trigger != flight.TriggerTickP99 {
+	if err := json.Unmarshal([]byte(frames[1].data), &fe); err != nil || fe.Trigger != flight.TriggerIngestShed {
 		t.Fatalf("frame 1 data = %q (%v)", frames[1].data, err)
 	}
 
@@ -241,7 +244,10 @@ func TestFanoutHubConcurrentShutdown(t *testing.T) {
 // degraded and back; /api/health must follow with 503 and 200.
 func TestHealthEndpointFlipsWithRecorder(t *testing.T) {
 	eng, mu := loadedEngine(t)
-	rec := flight.New(flight.Config{Window: 2, SLOTickP99: 100 * time.Millisecond}, flight.Sources{})
+	var depth atomic.Int64
+	rec := flight.New(flight.Config{Window: 2}, flight.Sources{
+		Queue: func() (int, int) { return int(depth.Load()), 100 },
+	})
 	h := NewSnapshotter(mu, eng, nil).WithFlight(rec).Handler()
 
 	rec.Observe(epoch, time.Millisecond)
@@ -249,17 +255,17 @@ func TestHealthEndpointFlipsWithRecorder(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, `"status": "ok"`) {
 		t.Fatalf("healthy: code=%d body=%s", code, body)
 	}
-	rec.Observe(epoch.Add(10*time.Second), time.Second)
+	depth.Store(95) // past the 90% high-water mark: a level trigger
+	rec.Observe(epoch.Add(10*time.Second), time.Millisecond)
 	code, body = get(t, h, "/api/health")
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"status": "degraded"`) {
 		t.Fatalf("degraded: code=%d body=%s", code, body)
 	}
-	if !strings.Contains(body, flight.TriggerTickP99) {
+	if !strings.Contains(body, flight.TriggerQueueHigh) {
 		t.Fatalf("degraded body missing trigger name: %s", body)
 	}
-	for i := 0; i < 2; i++ {
-		rec.Observe(epoch.Add(time.Duration(20+10*i)*time.Second), time.Millisecond)
-	}
+	depth.Store(0)
+	rec.Observe(epoch.Add(20*time.Second), time.Millisecond)
 	if code, _ = get(t, h, "/api/health"); code != http.StatusOK {
 		t.Fatalf("recovered: code=%d", code)
 	}

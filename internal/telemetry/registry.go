@@ -349,26 +349,35 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return m.gauge
 }
 
-// GaugeFunc registers a gauge whose value is read from fn at exposition
-// time — the bridge for subsystems that already keep their own counters
-// (one source of truth, no double accounting). Re-registering a name
-// replaces its callback.
+// GaugeFunc registers a gauge whose value is read from fn — the bridge
+// for subsystems that already keep their own counters (one source of
+// truth, no double accounting). Re-registering a name replaces its
+// callback.
+//
+// fn runs at exposition time and, in the daemon, once per tick on the
+// tick goroutine under the engine lock (the history sampler reads every
+// metric there, with the store's lock held too). It must therefore do no
+// I/O, never block, and allocate nothing: read an atomic, or take a
+// mutex that is only ever held for a few loads and stores. Whatever it
+// costs, every tick pays (cmd/skynetd's TestMetricCallbacksAllocateNothing
+// holds the daemon's whole registry to the allocation half of this).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	m, _ := r.lookup(name, help, KindGauge)
 	m.fn = fn
 }
 
-// CounterFunc registers a counter whose value is read from fn at
-// exposition time. fn must be monotonic.
+// CounterFunc registers a counter whose value is read from fn. fn must
+// be monotonic, and GaugeFunc's contract binds it: no I/O, no blocking,
+// no allocation.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	m, _ := r.lookup(name, help, KindCounter)
 	m.fn = fn
 }
 
 // CounterFuncWith registers one labeled series of a counter family whose
-// value is read from fn at exposition time — the bridge for subsystems
-// keeping per-dimension counters of their own (e.g. per-kind fan-out
-// drops). fn must be monotonic.
+// value is read from fn — the bridge for subsystems keeping
+// per-dimension counters of their own (e.g. per-kind fan-out drops). fn
+// must be monotonic and meet GaugeFunc's contract.
 func (r *Registry) CounterFuncWith(name, labels, help string, fn func() float64) {
 	m, _ := r.lookupLabeled(name, labels, help, KindCounter)
 	m.fn = fn

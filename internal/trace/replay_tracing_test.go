@@ -53,9 +53,11 @@ func TestReplayTracingBitEqual(t *testing.T) {
 	}
 }
 
-// TestReplayTracingSpanNames checks that one traced replay records every
-// pipeline stage the issue names: the stage spans, their sub-phases, and
-// the parallel fan-outs with shard ids.
+// TestReplayTracingSpanNames checks that one traced replay records the
+// whole stage vocabulary — the top-level stages including publish, their
+// sub-phases, and the parallel fan-outs with shard ids — and that every
+// tick's parts add up to the whole: the top-level spans run one after
+// another inside the root, so their durations sum to no more than its.
 func TestReplayTracingSpanNames(t *testing.T) {
 	gen := DefaultGenerateOptions()
 	gen.Scenarios = 2
@@ -67,11 +69,34 @@ func TestReplayTracingSpanNames(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Workers = 4
 	tracer := span.NewTracer(0)
+	reg := telemetry.New()
 	if _, err := ReplayWithOptions(g.Alerts, g.Topo, cfg, ReplayOptions{
-		Tick:   10 * time.Second,
-		Tracer: tracer,
+		Tick:      10 * time.Second,
+		Tracer:    tracer,
+		Telemetry: reg,
 	}); err != nil {
 		t.Fatal(err)
+	}
+	// One latency histogram per name: the seam's skynet_stage_* for the
+	// top-level stages, the bridge's skynet_span_* for what is below them.
+	hists := map[string]int64{}
+	for _, m := range reg.Snapshot() {
+		if m.Hist != nil {
+			hists[m.Name] = m.Hist.Count
+		}
+	}
+	for _, name := range []string{"preprocess", "locate", "evaluate", "sop", "publish"} {
+		if hists["skynet_stage_"+name+"_seconds"] != tracer.TickCount() {
+			t.Errorf("skynet_stage_%s_seconds has %d observations over %d ticks", name, hists["skynet_stage_"+name+"_seconds"], tracer.TickCount())
+		}
+		if _, dup := hists["skynet_span_"+name+"_seconds"]; dup {
+			t.Errorf("skynet_span_%s_seconds duplicates skynet_stage_%s_seconds", name, name)
+		}
+	}
+	for _, name := range []string{"classify", "sweep", "addbatch", "check", "expire", "refine_score"} {
+		if hists["skynet_span_"+name+"_seconds"] == 0 {
+			t.Errorf("skynet_span_%s_seconds never observed", name)
+		}
 	}
 	seen := map[string]bool{}
 	sharded := map[string]bool{}
@@ -87,7 +112,11 @@ func TestReplayTracingSpanNames(t *testing.T) {
 	}
 	for _, tr := range tracer.Last(0) {
 		addFan := 0
+		var parts time.Duration
 		for i := range tr.Spans {
+			if tr.Spans[i].Parent == int32(span.Root) {
+				parts += tr.Spans[i].Dur
+			}
 			if tr.Spans[i].Shard >= 0 {
 				sharded[tr.Spans[i].Name] = true
 				if tr.Spans[i].Name == "addbatch_fan" {
@@ -100,11 +129,15 @@ func TestReplayTracingSpanNames(t *testing.T) {
 		if addFan != 0 && addFan != 2*cfg.Workers {
 			t.Errorf("tick %d: addbatch_fan has %d tasks, want workers+shards = %d", tr.Tick, addFan, 2*cfg.Workers)
 		}
+		if parts <= 0 || parts > tr.Dur {
+			t.Errorf("tick %d: top-level spans sum to %v, root is %v", tr.Tick, parts, tr.Dur)
+		}
 	}
 	for _, name := range []string{
 		"tick", "preprocess", "classify", "consolidate", "sweep",
 		"locate", "addbatch", "addbatch_fan", "check", "expire",
 		"components", "compcount", "evaluate", "refine_score", "sop",
+		"publish", "observe",
 	} {
 		if !seen[name] {
 			t.Errorf("span %q never recorded; stages seen: %v", name, keys(seen))
