@@ -264,7 +264,7 @@ func explain(eng *core.Engine, prov *provenance.Recorder, id int) {
 func printStats(eng *core.Engine, reg *telemetry.Registry, journal *telemetry.Journal) {
 	st := eng.PreprocessStats()
 	active := len(eng.Active())
-	closed := len(eng.Closed())
+	closed := eng.ClosedCount()
 	structured := st.In - st.DroppedUnclassified
 
 	fmt.Println("\n== funnel: raw → structured → consolidated → incidents ==")

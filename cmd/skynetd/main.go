@@ -87,9 +87,9 @@ func main() {
 		historySnap = flag.String("history-snapshot", "",
 			"file for the final telemetry-history snapshot written on shutdown (default <flight-dir>/history-final.json; empty flight dir disables)")
 		mutexFraction = flag.Int("mutex-fraction", 0,
-			"mutex contention profiling: record 1 in N contention events (0 disables; see bench_results.txt for overhead)")
+			"mutex contention profiling: record 1 in N contention events (0 disables)")
 		blockRate = flag.Int("block-rate", 0,
-			"block profiling: record blocking events lasting >= N ns (0 disables; see bench_results.txt for overhead)")
+			"block profiling: record blocking events lasting >= N ns (0 disables)")
 		profileDir = flag.String("profile-dir", "profiles",
 			"continuous-profiler window archive directory (empty disables archiving; capture, telemetry, and /api/profile stay on)")
 		profileInterval = flag.Duration("profile-interval", time.Minute,
@@ -437,6 +437,7 @@ func (d *daemon) run(log *slog.Logger, topo *topology.Topology, httpAddr string,
 	defer ticker.Stop()
 
 	known := map[int]bool{}
+	closedSeen := 0 // cursor into the engine's closed-incident history
 	for {
 		select {
 		case now := <-ticker.C:
@@ -444,7 +445,8 @@ func (d *daemon) run(log *slog.Logger, topo *topology.Topology, httpAddr string,
 			tickStart := time.Now()
 			res := engine.Tick(now)
 			tickDur := time.Since(tickStart)
-			closed := engine.Closed()
+			closed := engine.ClosedSince(closedSeen)
+			closedSeen += len(closed)
 			active := len(engine.Active())
 			engineMu.Unlock()
 			// Observe outside engineMu: a dump's incident snapshot takes

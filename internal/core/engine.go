@@ -390,6 +390,14 @@ func (e *Engine) Active() []*incident.Incident { return e.loc.Active() }
 // caller owns.
 func (e *Engine) Closed() []*incident.Incident { return e.loc.Closed() }
 
+// ClosedCount reports the number of timed-out incidents without copying.
+func (e *Engine) ClosedCount() int { return e.loc.ClosedCount() }
+
+// ClosedSince returns the incidents closed from index i on, in closing
+// order: a caller that advances i by len(result) sees each closed
+// incident once, without copying the whole history every tick.
+func (e *Engine) ClosedSince(i int) []*incident.Incident { return e.loc.ClosedSince(i) }
+
 // AllIncidents returns every incident the engine has produced, by ID. The
 // returned slice is freshly allocated on every call — callers may sort,
 // filter, or append to it without affecting the engine.

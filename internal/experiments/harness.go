@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6) plus the §5.1 case studies, on the synthetic substrate.
 // Each experiment returns a Result — a printable table with the measured
-// rows and a note recalling the paper's shape — and the skynet-bench
-// binary and bench_test.go drive them.
+// rows and a note recalling the paper's shape — and the skynet-exp
+// binary drives them.
 //
 // Absolute numbers differ from the paper (their substrate is a production
 // network, ours a simulator); the experiments are judged on shape: who

@@ -380,19 +380,6 @@ func (s *FeedSnapshot) appendJSON(dst []byte, pubNanos int64) []byte {
 	return append(dst, ']', '}')
 }
 
-// AppendJSON renders the snapshot wire document into dst — the exact
-// bytes a subscriber's snapshot frame carries (minus the SSE header).
-// Exported for the encode microbenchmarks.
-func (s *FeedSnapshot) AppendJSON(dst []byte, pubNanos int64) []byte {
-	return s.appendJSON(dst, pubNanos)
-}
-
-// AppendJSON renders the delta wire document into dst. Exported for the
-// encode microbenchmarks.
-func (d *FeedDelta) AppendJSON(dst []byte, pubNanos int64) []byte {
-	return d.appendJSON(dst, pubNanos)
-}
-
 // appendJSON renders the delta document.
 func (d *FeedDelta) appendJSON(dst []byte, pubNanos int64) []byte {
 	dst = append(dst, `{"tick":`...)

@@ -21,7 +21,7 @@ func wireAlert(tag int) []byte {
 	return alert.AppendWire(nil, &a)
 }
 
-func dialUDP(t *testing.T, s *Server) net.Conn {
+func dialUDP(t testing.TB, s *Server) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("udp", s.UDPAddr().String())
 	if err != nil {

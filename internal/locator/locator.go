@@ -230,7 +230,7 @@ type locShard struct {
 	entryFree []*entry
 	// arena hands out entry structs in bulk chunks: fresh streams during
 	// a flood would otherwise hit the allocator one ~350-byte struct at a
-	// time (the dominant allocation in locator_addcheck). Recycled
+	// time (the dominant allocation in BenchmarkLocatorAddCheck). Recycled
 	// entries still flow through entryFree first.
 	arena []entry
 	// ptrArena hands out the initial entries backing for brand-new node

@@ -74,7 +74,8 @@ type Executor interface {
 
 // TrafficOracle reports the current utilization of a device group's
 // aggregate capacity (0..1+). The isolation rule refuses to isolate when
-// the survivors could not carry the traffic.
+// the survivors could not carry the traffic. A nil oracle means
+// utilization is unknown, and rules that need it stand down.
 type TrafficOracle func(group string) float64
 
 // Rule matches incidents and produces plans.
@@ -107,12 +108,10 @@ type Engine struct {
 	handled map[int]bool
 }
 
-// NewEngine builds an engine with the default rule set. util may be nil
-// (treated as zero utilization — isolation always traffic-safe).
+// NewEngine builds an engine with the default rule set. util may be nil:
+// utilization is then unknown, so the isolation rule never fires — a
+// safety check fails closed.
 func NewEngine(topo *topology.Topology, exec Executor, util TrafficOracle) *Engine {
-	if util == nil {
-		util = func(string) float64 { return 0 }
-	}
 	return &Engine{
 		topo:    topo,
 		exec:    exec,
@@ -221,8 +220,8 @@ func (r DeviceLossIsolationRule) Match(topo *topology.Topology, in *incident.Inc
 			return Plan{}, false
 		}
 	}
-	// Condition 3: group traffic is manageable.
-	if util(dev.Group) > r.MaxGroupUtil {
+	// Condition 3: group traffic is manageable — and known to be.
+	if util == nil || util(dev.Group) > r.MaxGroupUtil {
 		return Plan{}, false
 	}
 	return Plan{

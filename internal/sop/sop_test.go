@@ -24,6 +24,9 @@ func (f *fakeExec) Deisolate(id topology.DeviceID) { delete(f.isolated, id) }
 
 func smallTopo() *topology.Topology { return topology.MustGenerate(topology.SmallConfig()) }
 
+// idle is a traffic oracle reporting every group at zero utilization.
+func idle(string) float64 { return 0 }
+
 func csr(topo *topology.Topology) *topology.Device {
 	for i := range topo.Devices {
 		if topo.Devices[i].Role == topology.RoleCSR {
@@ -49,7 +52,7 @@ func lossIncident(dev *topology.Device) *incident.Incident {
 func TestIsolationRuleFires(t *testing.T) {
 	topo := smallTopo()
 	exec := newFakeExec()
-	e := NewEngine(topo, exec, nil)
+	e := NewEngine(topo, exec, idle)
 	dev := csr(topo)
 	in := lossIncident(dev)
 	got, ok := e.Consider(in, epoch)
@@ -72,7 +75,7 @@ func TestIsolationRuleFires(t *testing.T) {
 
 func TestRuleFiresOncePerIncident(t *testing.T) {
 	topo := smallTopo()
-	e := NewEngine(topo, newFakeExec(), nil)
+	e := NewEngine(topo, newFakeExec(), idle)
 	in := lossIncident(csr(topo))
 	if _, ok := e.Consider(in, epoch); !ok {
 		t.Fatal("first consider failed")
@@ -85,7 +88,7 @@ func TestRuleFiresOncePerIncident(t *testing.T) {
 func TestRollback(t *testing.T) {
 	topo := smallTopo()
 	exec := newFakeExec()
-	e := NewEngine(topo, exec, nil)
+	e := NewEngine(topo, exec, idle)
 	dev := csr(topo)
 	got, _ := e.Consider(lossIncident(dev), epoch)
 	e.Rollback(got)
@@ -102,7 +105,7 @@ func TestNoMatchGroupPeerAlerting(t *testing.T) {
 	// Condition 2: a second group member alerting blocks the rule —
 	// that's a group-level problem, not a lone bad device.
 	topo := smallTopo()
-	e := NewEngine(topo, newFakeExec(), nil)
+	e := NewEngine(topo, newFakeExec(), idle)
 	dev := csr(topo)
 	in := lossIncident(dev)
 	var peer *topology.Device
@@ -130,9 +133,21 @@ func TestNoMatchHighTraffic(t *testing.T) {
 	}
 }
 
+func TestNoMatchUnknownTraffic(t *testing.T) {
+	// Condition 3 fails closed: without a traffic oracle the survivors'
+	// headroom is unknown, so the rule must not isolate.
+	topo := smallTopo()
+	exec := newFakeExec()
+	e := NewEngine(topo, exec, nil)
+	dev := csr(topo)
+	if _, ok := e.Consider(lossIncident(dev), epoch); ok || exec.isolated[dev.ID] {
+		t.Error("rule isolated a device with group utilization unknown")
+	}
+}
+
 func TestNoMatchWithoutLoss(t *testing.T) {
 	topo := smallTopo()
-	e := NewEngine(topo, newFakeExec(), nil)
+	e := NewEngine(topo, newFakeExec(), idle)
 	dev := csr(topo)
 	in := incident.New(1, dev.Path)
 	in.Add(alert.Alert{
@@ -148,7 +163,7 @@ func TestNoMatchAreaIncident(t *testing.T) {
 	// Incidents rooted above device level are unknown territory: SkyNet's
 	// job, not the SOP engine's.
 	topo := smallTopo()
-	e := NewEngine(topo, newFakeExec(), nil)
+	e := NewEngine(topo, newFakeExec(), idle)
 	site := topo.Clusters()[0].Parent()
 	in := incident.New(1, site)
 	in.Add(alert.Alert{
@@ -173,7 +188,7 @@ func TestNoMatchLoneDeviceInGroup(t *testing.T) {
 	if lone == nil {
 		t.Skip("no singleton group in this topology")
 	}
-	e := NewEngine(topo, newFakeExec(), nil)
+	e := NewEngine(topo, newFakeExec(), idle)
 	if _, ok := e.Consider(lossIncident(lone), epoch); ok {
 		t.Error("rule isolated a lone group member")
 	}
@@ -181,7 +196,7 @@ func TestNoMatchLoneDeviceInGroup(t *testing.T) {
 
 func TestCustomRule(t *testing.T) {
 	topo := smallTopo()
-	e := NewEngine(topo, newFakeExec(), nil)
+	e := NewEngine(topo, newFakeExec(), idle)
 	e.AddRule(observeRule{})
 	if len(e.Rules()) != 2 {
 		t.Fatal("rule not added")
@@ -227,7 +242,7 @@ func TestActionKindStrings(t *testing.T) {
 }
 
 func TestNilTopologyNeverMatches(t *testing.T) {
-	e := NewEngine(nil, newFakeExec(), nil)
+	e := NewEngine(nil, newFakeExec(), idle)
 	dev := hierarchy.MustNew("R", "C", "L", "S", "K", "d")
 	in := incident.New(1, dev)
 	in.Add(alert.Alert{

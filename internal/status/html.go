@@ -82,7 +82,7 @@ func (s *Snapshotter) indexHandler(w http.ResponseWriter, r *http.Request) {
 			RawIngested:     s.engine.RawIngested(),
 			Structured:      s.engine.PreprocessStats().Out,
 			ActiveIncidents: len(s.engine.Active()),
-			ClosedIncidents: len(s.engine.Closed()),
+			ClosedIncidents: s.engine.ClosedCount(),
 		},
 		Now: time.Now().Format(time.TimeOnly),
 	}

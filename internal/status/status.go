@@ -239,7 +239,7 @@ func (s *Snapshotter) Handler() http.Handler {
 			RawIngested:     s.engine.RawIngested(),
 			Structured:      s.engine.PreprocessStats().Out,
 			ActiveIncidents: len(s.engine.Active()),
-			ClosedIncidents: len(s.engine.Closed()),
+			ClosedIncidents: s.engine.ClosedCount(),
 		}
 		s.mu.Unlock()
 		if s.ingest != nil {

@@ -271,7 +271,8 @@ func DefaultLLMConfig() LLMConfig { return llmctx.DefaultConfig() }
 func Rank(ins []*Incident) []*Incident { return evaluator.Rank(ins) }
 
 // NewSOPEngine builds the §7.2 heuristic-rule engine with the default
-// device-loss-isolation rule.
+// device-loss-isolation rule. A nil util means group utilization is
+// unknown, and the isolation rule then stands down.
 func NewSOPEngine(topo *Topology, exec sop.Executor, util sop.TrafficOracle) *sop.Engine {
 	return sop.NewEngine(topo, exec, util)
 }
