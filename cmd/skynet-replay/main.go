@@ -263,7 +263,7 @@ func explain(eng *core.Engine, prov *provenance.Recorder, id int) {
 // the per-stage tick timings accumulated by the telemetry registry.
 func printStats(eng *core.Engine, reg *telemetry.Registry, journal *telemetry.Journal) {
 	st := eng.PreprocessStats()
-	active := len(eng.Active())
+	active := eng.ActiveCount()
 	closed := eng.ClosedCount()
 	structured := st.In - st.DroppedUnclassified
 

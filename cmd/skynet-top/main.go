@@ -230,11 +230,11 @@ func renderFlood(b *strings.Builder, floods []floodSummary) {
 	}
 	ep := floods[len(floods)-1]
 	if ep.Phase == flood.PhaseClosed {
-		fmt.Fprintf(b, "quiet — last episode #%d closed (%d raw, peak %d/tick, %d incidents)\n\n",
+		fmt.Fprintf(b, "quiet — last episode #%d closed (%d raw, peak %d/10s, %d incidents)\n\n",
 			ep.ID, ep.RawTotal, ep.PeakRate, ep.Incidents)
 		return
 	}
-	fmt.Fprintf(b, "*** EPISODE #%d %s *** started tick %d, %d ticks, %d raw, peak %d/tick, %d incidents, max severity %.2f\n",
+	fmt.Fprintf(b, "*** EPISODE #%d %s *** started tick %d, %d ticks, %d raw, peak %d/10s, %d incidents, max severity %.2f\n",
 		ep.ID, strings.ToUpper(ep.Phase.String()), ep.StartTick, ep.DurationTicks,
 		ep.RawTotal, ep.PeakRate, ep.Incidents, ep.MaxSeverity)
 	if ep.Scenario != "" {

@@ -1,7 +1,8 @@
 // Command skynetd is the SkyNet analysis daemon: it listens for raw
 // alerts over TCP (JSON Lines) and UDP (compact pipe format), runs the
-// preprocessor → locator → evaluator pipeline on a wall-clock tick, and
-// prints incident reports as they are created, updated, or closed.
+// preprocessor → locator → evaluator pipeline on a wall-clock tick —
+// sooner when a batch brings new evidence — and prints incident reports
+// as they are created, updated, or closed.
 //
 // Usage:
 //
@@ -62,12 +63,86 @@ var version = "dev"
 // row while they wait.
 const ingestQueueRows = 1 << 16
 
+// dutyFactor bounds the ticks new evidence starts: one waits until
+// dutyFactor × the previous tick's duration has passed since that tick
+// ended, which holds them under 1/dutyFactor of a core (1 %). Ticks
+// cost 0.5–3 ms on bench/'s workloads, so a fresh (location, type)
+// reaches the feed within a few hundred milliseconds even mid-flood,
+// while wide_udp's ~3 ms ticks with new devices every 20 ms stay at the
+// ceiling cadence. Measured alternatives are in DESIGN.md §6.
+const dutyFactor = 100
+
+// nextTick returns when the next tick is due: the ceiling after the
+// previous tick's start, or — when new evidence is waiting (woken) —
+// the end of the duty gap after that tick, whichever comes first, and
+// never before now.
+func nextTick(now, lastStart, lastEnd time.Time, lastDur, ceiling time.Duration, woken bool) time.Time {
+	due := lastStart.Add(ceiling)
+	if early := lastEnd.Add(dutyFactor * lastDur); woken && early.Before(due) {
+		due = early
+	}
+	if due.Before(now) {
+		return now
+	}
+	return due
+}
+
+// tickLoop calls tick until stop closes: at the ceiling after the
+// previous tick's start, or sooner when wake signals new evidence, as
+// nextTick decides. The first wake after a tick arms the early timer;
+// the loop stops listening for wakes until that tick has run, so later
+// ones neither re-arm nor queue a second tick.
+func tickLoop(ceiling time.Duration, wake, stop <-chan struct{}, tick func(now time.Time)) {
+	lastStart := time.Now()
+	lastEnd, lastDur := lastStart, time.Duration(0)
+	timer := time.NewTimer(ceiling)
+	defer timer.Stop()
+	woken := false
+	for {
+		wakeC := wake
+		if woken {
+			wakeC = nil
+		}
+		select {
+		case <-stop:
+			return
+		case <-wakeC:
+			woken = true
+			now := time.Now()
+			if due := nextTick(now, lastStart, lastEnd, lastDur, ceiling, true); due.After(now) {
+				rearm(timer, due.Sub(now))
+				continue
+			}
+		case <-timer.C:
+		}
+		woken = false
+		lastStart = time.Now()
+		tick(lastStart)
+		lastEnd = time.Now()
+		lastDur = lastEnd.Sub(lastStart)
+		rearm(timer, nextTick(lastEnd, lastStart, lastEnd, lastDur, ceiling, false).Sub(lastEnd))
+	}
+}
+
+// rearm resets t to fire after d, discarding a fire it has not
+// delivered yet.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
+}
+
 func main() {
 	var (
 		tcpAddr  = flag.String("tcp", "127.0.0.1:7070", "TCP listen address (empty disables)")
 		udpAddr  = flag.String("udp", "127.0.0.1:7071", "UDP listen address (empty disables)")
 		httpAddr = flag.String("http", "127.0.0.1:7072", "HTTP status address (empty disables)")
-		tick     = flag.Duration("tick", 10*time.Second, "pipeline tick interval")
+		tick     = flag.Duration("tick", 10*time.Second,
+			"longest interval between ticks; a batch that carries a new (location, type) ticks sooner, at most 1 % of a core")
 		scale    = flag.String("scale", "", "optional synthetic topology: small or production")
 		topoFile = flag.String("topo", "", "optional topology JSON file (overrides -scale)")
 		seed     = flag.Int64("seed", 1, "topology seed")
@@ -196,6 +271,16 @@ type daemon struct {
 	floodRec *flood.Recorder
 	srv      *ingest.Server
 	flight   *flight.Recorder
+
+	// wake carries the ingest dispatcher's "new evidence" signal to the
+	// tick loop: one slot, sent without blocking and drained under mu
+	// right before each tick, so a pending signal always means evidence
+	// the next tick has not seen.
+	wake chan struct{}
+	// known and closedSeen are the tick loop's printing state: the
+	// incidents it announced, and its cursor into the closed history.
+	known      map[int]bool
+	closedSeen int
 }
 
 // close stops what wire started — the listeners and the hub — and the
@@ -217,7 +302,7 @@ func wire(o options, topo *topology.Topology, log *slog.Logger) (*daemon, error)
 	engineCfg := core.DefaultConfig()
 	engineCfg.Workers = o.workers
 	engine := core.NewEngine(engineCfg, topo, classifier, nil, nil)
-	d := &daemon{engine: engine}
+	d := &daemon{engine: engine, wake: make(chan struct{}, 1), known: map[int]bool{}}
 	engineMu := &d.mu
 
 	// Telemetry: the registry backs GET /metrics, the journal backs
@@ -318,8 +403,9 @@ func wire(o options, topo *topology.Topology, log *slog.Logger) (*daemon, error)
 	// The batch handler runs on the ingest dispatch goroutine and feeds
 	// the engine's columnar path directly under engineMu (IngestBatch
 	// copies the columns out, so the dispatcher's batch is safe to
-	// reuse). Backpressure lives inside ingest: its queue buffers while
-	// the engine ticks, and overflow is shed there — counted on the
+	// reuse); a batch with new evidence wakes the tick loop. Backpressure
+	// lives inside ingest: its queue buffers while the engine ticks, and
+	// overflow is shed there — counted on the
 	// skynet_ingest_rejected_queue_full_total counter, never silently
 	// dropped.
 	srv, err := ingest.ListenBatch(ingest.Config{
@@ -331,7 +417,12 @@ func wire(o options, topo *topology.Topology, log *slog.Logger) (*daemon, error)
 		Logger:      log,
 	}, func(b *alert.Batch) {
 		engineMu.Lock()
-		engine.IngestBatch(b)
+		if engine.IngestBatch(b) {
+			select {
+			case d.wake <- struct{}{}:
+			default:
+			}
+		}
 		engineMu.Unlock()
 	})
 	if err != nil {
@@ -431,69 +522,73 @@ func (d *daemon) run(log *slog.Logger, topo *topology.Topology, httpAddr string,
 		log.Info("http status listening", "addr", statusSrv.Addr().String(), "pprof", pprofOn)
 	}
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
+	stop := make(chan struct{})
+	go func() {
+		log.Info("shutting down", "signal", (<-sigs).String())
+		close(stop)
+	}()
+	tickLoop(tick, d.wake, stop, func(now time.Time) { d.tick(log, now) })
 
-	known := map[int]bool{}
-	closedSeen := 0 // cursor into the engine's closed-incident history
-	for {
-		select {
-		case now := <-ticker.C:
-			engineMu.Lock()
-			tickStart := time.Now()
-			res := engine.Tick(now)
-			tickDur := time.Since(tickStart)
-			closed := engine.ClosedSince(closedSeen)
-			closedSeen += len(closed)
-			active := len(engine.Active())
-			engineMu.Unlock()
-			// Observe outside engineMu: a dump's incident snapshot takes
-			// the lock itself. Perf feeds the open flood episode's report
-			// without touching its deterministic episode state.
-			floodRec.ObservePerf(tickDur, int64(srv.Stats().QueueFull))
-			flightRec.Observe(now, tickDur)
-			for _, inc := range res.NewIncidents {
-				known[inc.ID] = true
-				fmt.Printf("--- NEW INCIDENT ---\n%s\n", inc.Render())
-			}
-			for _, inc := range closed {
-				if known[inc.ID] {
-					delete(known, inc.ID)
-					fmt.Printf("--- INCIDENT %d CLOSED at %s ---\n", inc.ID, inc.End.Format(time.TimeOnly))
-				}
-			}
-			if len(res.NewIncidents) == 0 && res.Structured > 0 {
-				log.Info("tick", "structured", res.Structured, "active", active)
-			}
-		case sig := <-stop:
-			log.Info("shutting down", "signal", sig.String())
-			// Close the fan-out hub first so every SSE subscriber wakes
-			// with ErrClosed and /api/events handlers return before the
-			// HTTP server's deferred graceful shutdown runs.
-			hub.Close()
-			// Flush the final telemetry-history snapshot: the whole run's
-			// tick-indexed series, the postmortem artifact CI uploads.
-			if snapshotPath != "" {
-				if err := writeHistorySnapshot(db, snapshotPath); err != nil {
-					log.Warn("history snapshot failed", "err", err)
-				} else {
-					log.Info("history snapshot written", "path", snapshotPath,
-						"series", len(db.SeriesNames()), "samples", db.Samples(),
-						"resident_bytes", db.MemoryBytes())
-				}
-			}
-			engineMu.Lock()
-			stats := engine.PreprocessStats()
-			total := len(engine.AllIncidents())
-			engineMu.Unlock()
-			srvStats := srv.Stats()
-			fmt.Printf("ingested %d alerts (%d rejected, %d shed, %d datagrams dropped by the kernel), %d structured, queue high water %d\n",
-				srvStats.AlertsAccepted, srvStats.AlertsRejected, srvStats.QueueFull, srvStats.UDPKernelDrops, stats.Out, srvStats.QueueHighWater)
-			fmt.Printf("%d incidents over the run, %d lifecycle events journaled\n", total, journal.Len())
-			return
+	// Close the fan-out hub first so every SSE subscriber wakes with
+	// ErrClosed and /api/events handlers return before the HTTP server's
+	// deferred graceful shutdown runs.
+	hub.Close()
+	// Flush the final telemetry-history snapshot: the whole run's
+	// tick-indexed series, the postmortem artifact CI uploads.
+	if snapshotPath != "" {
+		if err := writeHistorySnapshot(db, snapshotPath); err != nil {
+			log.Warn("history snapshot failed", "err", err)
+		} else {
+			log.Info("history snapshot written", "path", snapshotPath,
+				"series", len(db.SeriesNames()), "samples", db.Samples(),
+				"resident_bytes", db.MemoryBytes())
 		}
+	}
+	engineMu.Lock()
+	stats := engine.PreprocessStats()
+	total := len(engine.AllIncidents())
+	engineMu.Unlock()
+	srvStats := srv.Stats()
+	fmt.Printf("ingested %d alerts (%d rejected, %d shed, %d datagrams dropped by the kernel), %d structured, queue high water %d\n",
+		srvStats.AlertsAccepted, srvStats.AlertsRejected, srvStats.QueueFull, srvStats.UDPKernelDrops, stats.Out, srvStats.QueueHighWater)
+	fmt.Printf("%d incidents over the run, %d lifecycle events journaled\n", total, journal.Len())
+}
+
+// tick runs one engine tick at now, feeds its wall-clock latency to the
+// flood and flight recorders, and prints the incidents it opened and
+// closed.
+func (d *daemon) tick(log *slog.Logger, now time.Time) {
+	d.mu.Lock()
+	select {
+	case <-d.wake: // this tick absorbs the evidence it announced
+	default:
+	}
+	tickStart := time.Now()
+	res := d.engine.Tick(now)
+	tickDur := time.Since(tickStart)
+	closed := d.engine.ClosedSince(d.closedSeen)
+	d.closedSeen += len(closed)
+	active := d.engine.ActiveCount()
+	d.mu.Unlock()
+	// Observe outside the engine lock: a dump's incident snapshot takes
+	// the lock itself. Perf feeds the open flood episode's report
+	// without touching its deterministic episode state.
+	d.floodRec.ObservePerf(tickDur, int64(d.srv.Stats().QueueFull))
+	d.flight.Observe(now, tickDur)
+	for _, inc := range res.NewIncidents {
+		d.known[inc.ID] = true
+		fmt.Printf("--- NEW INCIDENT ---\n%s\n", inc.Render())
+	}
+	for _, inc := range closed {
+		if d.known[inc.ID] {
+			delete(d.known, inc.ID)
+			fmt.Printf("--- INCIDENT %d CLOSED at %s ---\n", inc.ID, inc.End.Format(time.TimeOnly))
+		}
+	}
+	if len(res.NewIncidents) == 0 && res.Structured > 0 {
+		log.Info("tick", "structured", res.Structured, "active", active)
 	}
 }
 

@@ -222,11 +222,13 @@ func (e *Engine) Ingest(a alert.Alert) {
 // — the one ingest path; the network listeners, trace replays and the
 // simulation runner all call it. The rows are copied onto the
 // preprocessor's pending columns; the caller may Reset and refill the
-// batch immediately.
-func (e *Engine) IngestBatch(b *alert.Batch) {
+// batch immediately. It reports whether the batch carries new evidence
+// (Preprocessor.AddBatch): a (location, type) no live aggregate holds,
+// the only input that can open or grow an incident at the next Tick.
+func (e *Engine) IngestBatch(b *alert.Batch) bool {
 	n := b.Len()
 	if n == 0 {
-		return
+		return false
 	}
 	e.rawIn += n
 	if e.tel != nil {
@@ -235,7 +237,7 @@ func (e *Engine) IngestBatch(b *alert.Batch) {
 	if e.flood != nil {
 		e.flood.ObserveRaw(b.Source)
 	}
-	e.pre.AddBatch(b)
+	return e.pre.AddBatch(b)
 }
 
 // SetReachability installs the latest end-to-end ping observations used by
@@ -385,6 +387,9 @@ func (e *Engine) pruneEvalStates(active []*incident.Incident) {
 // Active returns the open incidents, oldest first. The slice is a fresh
 // copy the caller owns; the incidents themselves are shared.
 func (e *Engine) Active() []*incident.Incident { return e.loc.Active() }
+
+// ActiveCount reports the number of open incidents without copying.
+func (e *Engine) ActiveCount() int { return e.loc.ActiveCount() }
 
 // Closed returns timed-out incidents. The slice is a fresh copy the
 // caller owns.

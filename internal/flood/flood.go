@@ -8,32 +8,41 @@
 //
 // # Detection
 //
-// The detector is a hysteresis state machine over two EWMAs of the
-// per-tick raw ingest rate, plus an incident-churn trigger:
+// The detector is a hysteresis state machine over two EWMAs of the raw
+// ingest rate, plus an incident-churn trigger. Every threshold is stated
+// per reference span (RefSpan, 10 s — one tick at the cadence it was
+// calibrated at), and the detector steps once per RefSpan of alert time,
+// not once per tick: ticks closer together than that only accumulate
+// into the next step, so a rate is never extrapolated from one short
+// tick. A step covering span s normalizes its raw count to alerts per
+// RefSpan and weighs it with α_eff = 1 − (1 − α)^(s/RefSpan):
 //
-//   - fast (α=0.5) tracks the current rate with a ~2-tick memory;
-//   - slow (α=0.05) is the quiet baseline. It only absorbs ticks that do
+//   - fast (α=0.5) tracks the current rate with a ~2-span memory;
+//   - slow (α=0.05) is the quiet baseline. It only absorbs steps that do
 //     not qualify toward onset, so a flood cannot raise its own
 //     reference level, and it re-seeds after each episode so the next
 //     comparison is against the post-flood quiet.
 //
-// A tick qualifies when fast ≥ OnsetRate AND fast ≥ OnsetFactor × the
-// baseline (floored at BaselineFloor), or when the tick created at
-// least ChurnOnset incidents. ConfirmTicks consecutive qualifying ticks
-// open an episode, backdated to the first tick of the run; fast <
-// ReleaseRate for HoldTicks consecutive ticks closes it. Within an
-// episode the phase advances onset → peak when the rate stops rising,
-// and peak → decay once the rate drops below the release level; the
-// rates are calibrated so the weakest severe scenario (route leaks,
-// ~4–16 alerts/tick on the small topology) confirms while benign minor
-// events (one 11-alert tick decaying to ~1/tick) and background noise
-// never do.
+// A step qualifies when fast ≥ OnsetRate AND fast ≥ OnsetFactor × the
+// baseline (floored at BaselineFloor), or when the step's ticks created
+// at least ChurnOnset incidents. ConfirmTicks reference spans of
+// consecutive qualifying steps open an episode, backdated to the first
+// step of the run; fast < ReleaseRate for HoldTicks reference spans
+// closes it. Within an episode the phase advances onset → peak when the
+// rate stops rising, and peak → decay once the rate drops below the
+// release level; the rates are calibrated so the weakest severe scenario
+// (route leaks, ~4–16 alerts per 10 s on the small topology) confirms
+// while benign minor events (one 11-alert span decaying to ~1 per span)
+// and background noise never do. On a 10 s tick grid every tick is one
+// step of exactly RefSpan, and the arithmetic is the per-tick detector's
+// bit for bit.
 //
 // # Determinism
 //
-// The state machine consumes only per-tick counts the pipeline already
-// computes deterministically — raw ingested, structured emitted,
-// incidents created/closed — never wall-clock latency. Episode IDs,
+// The state machine consumes only counts the pipeline already computes
+// deterministically — raw ingested, structured emitted, incidents
+// created/closed — and the alert-time instants of the ticks, never
+// wall-clock latency. Episode IDs,
 // boundaries, and every aggregate in a Report are therefore
 // bit-identical across replays at any worker count; Fingerprint()
 // asserts exactly that. Wall-clock tick latency and shed counts are
@@ -43,6 +52,7 @@ package flood
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -53,6 +63,10 @@ import (
 	"skynet/internal/telemetry"
 	"skynet/internal/tsdb"
 )
+
+// RefSpan is the reference span the detector's rates and durations are
+// stated per, and the least alert time one detector step covers.
+const RefSpan = 10 * time.Second
 
 // Defaults for Config's zero fields, calibrated against the small
 // topology's scenario suite at the 10s tick (see DESIGN.md §8).
@@ -78,23 +92,23 @@ type Config struct {
 	FastAlpha float64
 	// SlowAlpha is the EWMA weight of the quiet baseline.
 	SlowAlpha float64
-	// OnsetRate is the minimum fast EWMA (raw alerts/tick) for a tick to
-	// qualify toward onset.
+	// OnsetRate is the minimum fast EWMA (raw alerts per RefSpan) for a
+	// step to qualify toward onset.
 	OnsetRate float64
 	// OnsetFactor is how far above the baseline the fast EWMA must sit
 	// for a tick to qualify.
 	OnsetFactor float64
-	// ConfirmTicks is how many consecutive qualifying ticks open an
-	// episode.
+	// ConfirmTicks is how many RefSpans of consecutive qualifying steps
+	// open an episode.
 	ConfirmTicks int
-	// ChurnOnset is the incident-churn trigger: a tick creating at least
-	// this many incidents qualifies regardless of rate.
+	// ChurnOnset is the incident-churn trigger: a step whose ticks
+	// created at least this many incidents qualifies regardless of rate.
 	ChurnOnset int
-	// ReleaseRate is the fast-EWMA level below which a tick counts
-	// toward release.
+	// ReleaseRate is the fast-EWMA level (per RefSpan) below which a step
+	// counts toward release.
 	ReleaseRate float64
-	// HoldTicks is how many consecutive sub-release ticks close an
-	// episode.
+	// HoldTicks is how many RefSpans of consecutive sub-release steps
+	// close an episode.
 	HoldTicks int
 	// BaselineFloor bounds the baseline from below so the onset factor
 	// stays meaningful after silent stretches.
@@ -103,7 +117,7 @@ type Config struct {
 	TopK int
 	// MaxEpisodes caps retained closed-episode reports (oldest evicted).
 	MaxEpisodes int
-	// TrajectoryCap caps per-episode trajectory points; later ticks are
+	// TrajectoryCap caps per-episode trajectory points; later steps are
 	// dropped (counted in Report.TrajectoryDropped).
 	TrajectoryCap int
 	// IncidentCap caps per-episode incident-timeline entries; the
@@ -195,7 +209,7 @@ func (p *Phase) UnmarshalText(b []byte) error {
 // Event is one episode lifecycle notification, emitted on open, phase
 // change, and close.
 type Event struct {
-	// Time is the pipeline time of the tick that made the transition.
+	// Time is the pipeline time of the step that made the transition.
 	Time time.Time `json:"time"`
 	// Episode is the episode ID.
 	Episode uint64 `json:"episode"`
@@ -213,7 +227,7 @@ type TickOutcome struct {
 	Opened bool
 	// Adopted lists incident IDs newly attributed to the episode this
 	// tick — on the opening tick it backfills incidents created during
-	// the onset rise.
+	// the onset rise. Only a tick that closes a detector step adopts.
 	Adopted []int
 	// Closed is the finished report when an episode closed this tick.
 	Closed *Report
@@ -251,8 +265,8 @@ type episodeMetrics struct {
 	incidents  *telemetry.Counter
 }
 
-// pendingIncident is an incident created during a not-yet-confirmed
-// qualifying run, adopted if the run confirms.
+// pendingIncident is an incident created during the open step or a
+// not-yet-confirmed qualifying run, adopted if the run confirms.
 type pendingIncident struct {
 	id   int
 	root string
@@ -265,8 +279,8 @@ type pendingIncident struct {
 type Recorder struct {
 	cfg Config
 
-	// Inter-tick raw tap, engine-goroutine only: written per batch by
-	// ObserveRaw without locking, drained once per ObserveTick.
+	// Inter-step raw tap, engine-goroutine only: written per batch by
+	// ObserveRaw without locking, drained once per detector step.
 	pendingRaw int64
 	pendingSrc []int64
 
@@ -279,13 +293,21 @@ type Recorder struct {
 	cum     cumulative
 	fast    float64
 	slow    float64
-	slowN   int // ticks absorbed into slow since the last re-seed
-	runLen  int // consecutive qualifying ticks while idle
+	slowN   int           // steps absorbed into slow since the last re-seed
+	runDur  time.Duration // alert time of consecutive qualifying steps while idle
 	runSnap cumulative
 	runTick uint64
 	runTime time.Time
 	pending []pendingIncident
-	holdLen int // consecutive sub-release ticks while open
+	holdDur time.Duration // alert time of consecutive sub-release steps while open
+
+	// The open step: the ticks since the last step (at stepAt), folded
+	// into the detector once they span RefSpan.
+	stepAt      time.Time
+	stepTypes   []intern.TypeID // one per structured alert
+	stepLocs    []intern.PathID
+	stepCreated []pendingIncident
+	stepClosed  int64
 
 	nextID  uint64
 	open    *Report
@@ -374,7 +396,7 @@ func (r *Recorder) RegisterMetrics(reg *telemetry.Registry) {
 	r.epCounter = reg.Counter("skynet_flood_episodes_total",
 		"Flood episodes detected over the recorder's lifetime.")
 	reg.GaugeFunc("skynet_flood_ingest_rate",
-		"Fast EWMA of the per-tick raw ingest rate watched by the flood detector.",
+		"Fast EWMA of the raw ingest rate per 10 s watched by the flood detector.",
 		func() float64 { r.mu.Lock(); defer r.mu.Unlock(); return r.fast })
 }
 
@@ -409,11 +431,12 @@ func (r *Recorder) ObserveRaw(srcs []alert.Source) {
 	}
 }
 
-// ObserveTick advances the detector by one pipeline tick and folds the
-// tick's output into the open episode (if any). structured is the
-// preprocessor's output batch, created this tick's new incidents,
-// active the open set after the tick, closedInc incidents closed this
-// tick. now/tick must advance monotonically.
+// ObserveTick folds one pipeline tick into the open detector step and,
+// once the step spans RefSpan of alert time (or on the first tick),
+// advances the detector and the open episode (if any) by that step.
+// structured is the preprocessor's output batch, created this tick's new
+// incidents, active the open set after the tick, closedInc incidents
+// closed this tick. now/tick must advance monotonically.
 func (r *Recorder) ObserveTick(now time.Time, tick uint64, structured []alert.Alert, created, active, closedInc []*incident.Incident) TickOutcome {
 	r.mu.Lock()
 	out := r.observeTickLocked(now, tick, structured, created, active, closedInc)
@@ -427,39 +450,84 @@ func (r *Recorder) ObserveTick(now time.Time, tick uint64, structured []alert.Al
 	return out
 }
 
+// ewmaWeight is α restated for a step of k reference spans: the weight
+// k consecutive one-span updates give their common input. One span
+// keeps α itself, bit for bit.
+func ewmaWeight(alpha, k float64) float64 {
+	if k == 1 {
+		return alpha
+	}
+	return 1 - math.Pow(1-alpha, k)
+}
+
 func (r *Recorder) observeTickLocked(now time.Time, tick uint64, structured []alert.Alert, created, active, closedInc []*incident.Incident) TickOutcome {
 	var out TickOutcome
+	for i := range structured {
+		r.stepTypes = append(r.stepTypes, r.types.Intern(structured[i].Key()))
+		r.stepLocs = append(r.stepLocs, r.paths.Intern(structured[i].Location))
+	}
+	for _, in := range created {
+		r.stepCreated = append(r.stepCreated, pendingIncident{id: in.ID, root: in.Root.String(), at: now})
+	}
+	r.stepClosed += int64(len(closedInc))
+	// The first tick steps at once, as does one earlier than the last
+	// step (a replay restarted on the same recorder): both count as one
+	// reference span.
+	span := RefSpan
+	if d := now.Sub(r.stepAt); !r.stepAt.IsZero() && d >= 0 {
+		if span = d; span < RefSpan {
+			if r.open != nil {
+				out.EpisodeID = r.open.ID
+			}
+			return out
+		}
+	}
+	r.stepAt = now
+	r.stepLocked(now, tick, span, active, &out)
+	r.stepTypes, r.stepLocs = r.stepTypes[:0], r.stepLocs[:0]
+	r.stepCreated = r.stepCreated[:0]
+	r.stepClosed = 0
+	return out
+}
+
+// stepLocked advances the detector by one step of the given span,
+// ending at now, over the step's accumulated counts. Caller holds mu.
+func (r *Recorder) stepLocked(now time.Time, tick uint64, span time.Duration, active []*incident.Incident, out *TickOutcome) {
 	raw := r.pendingRaw
 	r.pendingRaw = 0
+	k := float64(span) / float64(RefSpan)
+	rate := float64(raw) / k // raw alerts per RefSpan
 
-	// Judge the tick against the PRE-tick baseline: the slow EWMA only
-	// absorbs ticks that do not qualify, so a flood's own volume never
+	// Judge the step against the PRE-step baseline: the slow EWMA only
+	// absorbs steps that do not qualify, so a flood's own volume never
 	// raises the level it is compared against.
-	r.fast = r.cfg.FastAlpha*float64(raw) + (1-r.cfg.FastAlpha)*r.fast
+	fastA := ewmaWeight(r.cfg.FastAlpha, k)
+	r.fast = fastA*rate + (1-fastA)*r.fast
 	baseline := r.slow
 	if r.slowN == 0 || baseline < r.cfg.BaselineFloor {
 		baseline = r.cfg.BaselineFloor
 	}
 	qualifies := (r.fast >= r.cfg.OnsetRate && r.fast >= r.cfg.OnsetFactor*baseline) ||
-		len(created) >= r.cfg.ChurnOnset
+		len(r.stepCreated) >= r.cfg.ChurnOnset
 	// The slow EWMA grows from zero rather than seeding with the first
-	// tick's count: a cold start is covered by BaselineFloor, while a
+	// step's count: a cold start is covered by BaselineFloor, while a
 	// seed from one unlucky background burst would park the baseline in
-	// the detection band for hundreds of ticks at this α.
+	// the detection band for hundreds of steps at this α.
 	if r.open == nil && !qualifies {
-		r.slow = r.cfg.SlowAlpha*float64(raw) + (1-r.cfg.SlowAlpha)*r.slow
+		slowA := ewmaWeight(r.cfg.SlowAlpha, k)
+		r.slow = slowA*rate + (1-slowA)*r.slow
 		r.slowN++
 	}
 
-	// A qualifying run starting this tick backdates its ledger to the
-	// totals before this tick, so the onset rise counts.
-	if r.open == nil && qualifies && r.runLen == 0 {
+	// A qualifying run starting this step backdates its ledger to the
+	// totals before this step, so the onset rise counts.
+	if r.open == nil && qualifies && r.runDur == 0 {
 		r.runSnap = r.cum.clone()
 		r.runTick = tick
 		r.runTime = now
 	}
 
-	// Fold the tick into the running totals.
+	// Fold the step into the running totals.
 	r.cum.raw += raw
 	if r.cum.bySource == nil {
 		r.cum.bySource = make([]int64, len(r.pendingSrc))
@@ -468,27 +536,27 @@ func (r *Recorder) observeTickLocked(now time.Time, tick uint64, structured []al
 		r.cum.bySource[i] += n
 		r.pendingSrc[i] = 0
 	}
-	r.cum.structured += int64(len(structured))
-	for i := range structured {
-		tid := r.types.Intern(structured[i].Key())
+	r.cum.structured += int64(len(r.stepTypes))
+	for _, tid := range r.stepTypes {
 		for int(tid) >= len(r.cum.byType) {
 			r.cum.byType = append(r.cum.byType, 0)
 		}
 		r.cum.byType[tid]++
-		pid := r.paths.Intern(structured[i].Location)
+	}
+	for _, pid := range r.stepLocs {
 		for int(pid) >= len(r.cum.byLoc) {
 			r.cum.byLoc = append(r.cum.byLoc, 0)
 		}
 		r.cum.byLoc[pid]++
 	}
-	r.cum.created += int64(len(created))
-	r.cum.closed += int64(len(closedInc))
+	r.cum.created += int64(len(r.stepCreated))
+	r.cum.closed += r.stepClosed
 
 	if r.open == nil {
-		r.advanceIdleLocked(now, tick, qualifies, created, &out)
+		r.advanceIdleLocked(now, tick, span, qualifies, out)
 	}
 	if r.open != nil {
-		r.advanceOpenLocked(now, tick, raw, len(structured), created, active, &out)
+		r.advanceOpenLocked(now, tick, span, raw, rate, active, out)
 	}
 	if r.open != nil {
 		out.EpisodeID = r.open.ID
@@ -501,24 +569,23 @@ func (r *Recorder) observeTickLocked(now time.Time, tick uint64, structured []al
 		r.phaseGauge.SetInt(int(ph))
 		r.curGauge.SetInt(int(cur))
 	}
-	return out
 }
 
 // advanceIdleLocked advances the pending-onset run and opens an episode
 // when it confirms. Caller holds mu.
-func (r *Recorder) advanceIdleLocked(now time.Time, tick uint64, qualifies bool, created []*incident.Incident, out *TickOutcome) {
+func (r *Recorder) advanceIdleLocked(now time.Time, tick uint64, span time.Duration, qualifies bool, out *TickOutcome) {
 	if !qualifies {
-		r.runLen = 0
+		r.runDur = 0
 		r.pending = r.pending[:0]
 		return
 	}
-	r.runLen++
-	for _, in := range created {
+	r.runDur += span
+	for _, p := range r.stepCreated {
 		if len(r.pending) < r.cfg.IncidentCap {
-			r.pending = append(r.pending, pendingIncident{id: in.ID, root: in.Root.String(), at: now})
+			r.pending = append(r.pending, p)
 		}
 	}
-	if r.runLen < r.cfg.ConfirmTicks {
+	if r.runDur < time.Duration(r.cfg.ConfirmTicks)*RefSpan {
 		return
 	}
 	r.nextID++
@@ -542,20 +609,21 @@ func (r *Recorder) advanceIdleLocked(now time.Time, tick uint64, qualifies bool,
 		r.epCounter.Inc()
 	}
 	r.pending = r.pending[:0]
-	r.runLen = 0
+	r.runDur = 0
 	out.Opened = true
 	out.Events = append(out.Events, Event{
 		Time: now, Episode: rep.ID, Phase: PhaseOnset,
-		Detail: fmt.Sprintf("flood onset: ingest %.1f/tick ≥ %.1f (baseline %.2f), confirmed over %d ticks",
+		Detail: fmt.Sprintf("flood onset: ingest %.1f/10s ≥ %.1f (baseline %.2f), confirmed over %d×10s",
 			r.fast, r.cfg.OnsetRate, r.slow, r.cfg.ConfirmTicks),
 	})
 }
 
-// advanceOpenLocked folds one tick into the open episode and advances
-// its phase machine. Caller holds mu. The tick that confirms an episode
+// advanceOpenLocked folds one step into the open episode and advances
+// its phase machine. Caller holds mu. The step that confirms an episode
 // flows through here too, so the confirm window's counts land in the
-// report on the same tick it opens.
-func (r *Recorder) advanceOpenLocked(now time.Time, tick uint64, raw int64, structured int, created, active []*incident.Incident, out *TickOutcome) {
+// report on the same step it opens. raw is the step's raw count, rate
+// the same per RefSpan.
+func (r *Recorder) advanceOpenLocked(now time.Time, tick uint64, span time.Duration, raw int64, rate float64, active []*incident.Incident, out *TickOutcome) {
 	rep := r.open
 	rep.EndTick = tick
 	rep.RawTotal = r.cum.raw - rep.startSnap.raw
@@ -563,20 +631,20 @@ func (r *Recorder) advanceOpenLocked(now time.Time, tick uint64, raw int64, stru
 	if rep.StructuredTotal > 0 {
 		rep.ConsolidationRatio = float64(rep.RawTotal) / float64(rep.StructuredTotal)
 	}
-	if raw > rep.PeakRate {
-		rep.PeakRate = raw
+	if peak := int64(math.Round(rate)); peak > rep.PeakRate {
+		rep.PeakRate = peak
 		rep.PeakTick = tick
 		rep.PeakTime = now
 	}
 
-	// Incident timeline. The opening tick's backfill already put this
-	// tick's created incidents in Adopted; only append the ones that
+	// Incident timeline. The opening step's backfill already put this
+	// step's created incidents in Adopted; only append the ones that
 	// arrived after the open.
 	if !out.Opened {
-		for _, in := range created {
-			out.Adopted = append(out.Adopted, in.ID)
+		for _, p := range r.stepCreated {
+			out.Adopted = append(out.Adopted, p.id)
 			if len(rep.Incidents) < r.cfg.IncidentCap {
-				rep.Incidents = append(rep.Incidents, IncidentEvent{ID: in.ID, Root: in.Root.String(), Created: now})
+				rep.Incidents = append(rep.Incidents, IncidentEvent{ID: p.id, Root: p.root, Created: p.at})
 			}
 			rep.IncidentsCreated++
 		}
@@ -600,8 +668,8 @@ func (r *Recorder) advanceOpenLocked(now time.Time, tick uint64, raw int64, stru
 	}
 	if len(rep.Trajectory) < r.cfg.TrajectoryCap {
 		rep.Trajectory = append(rep.Trajectory, TrajectoryPoint{
-			Tick: tick, Time: now, Raw: raw, Structured: int64(structured),
-			Active: len(active), NewIncidents: len(created), MaxSeverity: maxSev,
+			Tick: tick, Time: now, Raw: raw, Structured: int64(len(r.stepTypes)),
+			Active: len(active), NewIncidents: len(r.stepCreated), MaxSeverity: maxSev,
 		})
 	} else {
 		rep.TrajectoryDropped++
@@ -613,26 +681,26 @@ func (r *Recorder) advanceOpenLocked(now time.Time, tick uint64, raw int64, stru
 	}
 
 	// Phase machine: onset → peak when the rate stops rising; any phase
-	// → decay on a sub-release tick; decay → closed after the hold, or
+	// → decay on a sub-release step; decay → closed after the hold, or
 	// back to peak if the rate recovers.
 	if r.fast < r.cfg.ReleaseRate {
-		r.holdLen++
+		r.holdDur += span
 		if rep.Phase != PhaseDecay {
 			r.transitionLocked(rep, PhaseDecay, tick, now, out,
-				fmt.Sprintf("rate %.1f/tick fell below release %.1f", r.fast, r.cfg.ReleaseRate))
+				fmt.Sprintf("rate %.1f/10s fell below release %.1f", r.fast, r.cfg.ReleaseRate))
 		}
-		if r.holdLen >= r.cfg.HoldTicks {
+		if r.holdDur >= time.Duration(r.cfg.HoldTicks)*RefSpan {
 			r.closeLocked(rep, tick, now, out)
 		}
 		return
 	}
-	r.holdLen = 0
-	if rep.Phase == PhaseOnset && float64(raw) < r.fast {
+	r.holdDur = 0
+	if rep.Phase == PhaseOnset && rate < r.fast {
 		r.transitionLocked(rep, PhasePeak, tick, now, out,
-			fmt.Sprintf("rate crested at %d/tick", rep.PeakRate))
+			fmt.Sprintf("rate crested at %d/10s", rep.PeakRate))
 	} else if rep.Phase == PhaseDecay {
 		r.transitionLocked(rep, PhasePeak, tick, now, out,
-			fmt.Sprintf("rate recovered to %.1f/tick above release %.1f", r.fast, r.cfg.ReleaseRate))
+			fmt.Sprintf("rate recovered to %.1f/10s above release %.1f", r.fast, r.cfg.ReleaseRate))
 	}
 }
 
@@ -655,11 +723,11 @@ func (r *Recorder) closeLocked(rep *Report, tick uint64, now time.Time, out *Tic
 		rep.History = r.history(rep.StartTick, tick)
 	}
 	r.transitionLocked(rep, PhaseClosed, tick, now, out,
-		fmt.Sprintf("flood closed: %d raw alerts over %d ticks, peak %d/tick",
+		fmt.Sprintf("flood closed: %d raw alerts over %d ticks, peak %d/10s",
 			rep.RawTotal, rep.DurationTicks, rep.PeakRate))
 	r.open = nil
 	r.openEM = nil
-	r.holdLen = 0
+	r.holdDur = 0
 	r.nClosed++
 	// Re-seed the baseline from the post-flood quiet level rather than
 	// carrying the pre-flood one across the episode.

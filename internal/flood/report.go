@@ -29,7 +29,8 @@ type IncidentEvent struct {
 	Severity float64 `json:"severity,omitempty"`
 }
 
-// TrajectoryPoint is one tick of an episode's rate/severity curve.
+// TrajectoryPoint is one detector step of an episode's rate/severity
+// curve (one tick on a 10 s grid); Raw and Structured count the step.
 type TrajectoryPoint struct {
 	Tick         uint64    `json:"tick"`
 	Time         time.Time `json:"time"`
@@ -109,13 +110,15 @@ type Report struct {
 	End     time.Time `json:"end,omitempty"`
 	// DurationTicks is EndTick − StartTick + 1, set on close.
 	DurationTicks uint64 `json:"duration_ticks,omitempty"`
-	// Baseline is the frozen slow-EWMA rate the onset was judged
-	// against.
+	// Baseline is the frozen slow-EWMA rate (raw alerts per RefSpan) the
+	// onset was judged against.
 	Baseline float64 `json:"baseline"`
 	// Timeline records every phase transition.
 	Timeline []PhaseChange `json:"timeline"`
 
-	// PeakRate is the highest single-tick raw count, at PeakTick.
+	// PeakRate is the highest raw rate of one detector step, in alerts
+	// per RefSpan (on a 10 s grid: the highest single-tick count), at
+	// PeakTick.
 	PeakRate int64     `json:"peak_rate"`
 	PeakTick uint64    `json:"peak_tick,omitempty"`
 	PeakTime time.Time `json:"peak_time,omitempty"`
@@ -319,8 +322,8 @@ func (rep *Report) Render() string {
 		fmt.Fprintf(&b, " → %s (%s)", rep.End.Format(time.RFC3339), rep.End.Sub(rep.Start))
 	}
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "  onset       baseline %.2f/tick before the flood\n", rep.Baseline)
-	fmt.Fprintf(&b, "  volume      %d raw → %d structured (%.1fx consolidation), peak %d/tick at %s\n",
+	fmt.Fprintf(&b, "  onset       baseline %.2f/10s before the flood\n", rep.Baseline)
+	fmt.Fprintf(&b, "  volume      %d raw → %d structured (%.1fx consolidation), peak %d/10s at %s\n",
 		rep.RawTotal, rep.StructuredTotal, rep.ConsolidationRatio, rep.PeakRate, rep.PeakTime.Format(time.TimeOnly))
 	for _, pc := range rep.Timeline {
 		fmt.Fprintf(&b, "  phase       %-6s tick %d at %s\n", pc.Phase, pc.Tick, pc.Time.Format(time.TimeOnly))

@@ -8,12 +8,14 @@ import (
 	"time"
 
 	"skynet/internal/alert"
+	"skynet/internal/intern"
 	"skynet/internal/provenance"
 )
 
 // refAdd is the row-by-row absorb AddBatch replaced, kept as its
 // reference: plain per-row link-alert split, Append, and one
-// provenance.Ingest per buffered row.
+// provenance.Ingest per buffered row. It leaves the dense-ID columns
+// NoID; AddBatch interns them at append, which internedColumns checks.
 func refAdd(p *Preprocessor, a alert.Alert) {
 	p.stats.In++
 	if a.CircuitSet != "" && a.Location.IsDevice() && a.Peer.IsDevice() && a.Peer != a.Location {
@@ -53,6 +55,40 @@ func absorbRows(layout string, at time.Time) []alert.Alert {
 	return rows
 }
 
+// internedColumns checks that every pending row's dense IDs resolve to
+// its own location, (source, type) and circuit set — TID NoID for a raw
+// syslog row, which is typed only when absorbed — and returns the
+// pending columns with those IDs reset to NoID, the reference's shape.
+func internedColumns(t *testing.T, p *Preprocessor) alert.Batch {
+	t.Helper()
+	b := p.pending
+	for i := 0; i < b.Len(); i++ {
+		if got := p.pt.Path(intern.PathID(b.PID[i])); got != b.Location[i] {
+			t.Fatalf("row %d: PID %d resolves to %v, want %v", i, b.PID[i], got, b.Location[i])
+		}
+		if b.Source[i] == alert.SourceSyslog && b.Type[i] == "" {
+			if b.TID[i] != alert.NoID {
+				t.Fatalf("row %d: untyped syslog row carries TID %d", i, b.TID[i])
+			}
+		} else if got, want := p.tt.Key(intern.TypeID(b.TID[i])), (alert.TypeKey{Source: b.Source[i], Type: b.Type[i]}); got != want {
+			t.Fatalf("row %d: TID %d resolves to %v, want %v", i, b.TID[i], got, want)
+		}
+		if want := p.csIDs[b.CircuitSet[i]]; b.CS[i] != want {
+			t.Fatalf("row %d: CS %d, want %d", i, b.CS[i], want)
+		}
+	}
+	b.PID, b.TID, b.CS = noIDs(b.Len()), noIDs(b.Len()), noIDs(b.Len())
+	return b
+}
+
+func noIDs(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = alert.NoID
+	}
+	return ids
+}
+
 // TestAddBatchMatchesRowReference checks the single absorb against the
 // row-by-row reference: identical pending columns, lineage IDs (mirrored
 // half numbered before the original), Stats().In, provenance ledger and
@@ -80,9 +116,9 @@ func TestAddBatchMatchesRowReference(t *testing.T) {
 				refAdd(want, rows[j])
 			}
 			got.AddBatch(&b)
-			if !reflect.DeepEqual(got.pending, want.pending) {
+			if cols := internedColumns(t, got); !reflect.DeepEqual(cols, want.pending) {
 				t.Fatalf("sampleEvery=%d layout %q: pending columns differ\n got %+v\nwant %+v",
-					sampleEvery, layout, got.pending, want.pending)
+					sampleEvery, layout, cols, want.pending)
 			}
 			if !reflect.DeepEqual(got.pendingLin, want.pendingLin) {
 				t.Fatalf("sampleEvery=%d layout %q: lineage IDs %v, want %v",

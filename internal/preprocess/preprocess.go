@@ -345,34 +345,45 @@ func (p *Preprocessor) Add(a alert.Alert) {
 // whichever comes first. The rows are copied onto the pending columns,
 // so the caller may Reset and reuse b immediately.
 //
+// It reports whether the batch carries new evidence: a row whose
+// consolidation key (location, type, circuit set) has no live aggregate,
+// or a still-unclassified syslog row at a location with no live
+// aggregate of any type. Only such a row can change what the locator
+// counts (§4.2 counts alert types per location, not occurrences); a
+// repeat of a known stream only grows its aggregate. The check reads the
+// IDs the append interns anyway and allocates nothing.
+//
 // Link-alert split (§4.1): "an alert related to a link is split into two
 // alerts corresponding to the devices it connects". The built-in
 // monitors already emit per-endpoint alerts; this handles externally
 // ingested collectors that report one alert per link. Such a row is
 // buffered twice — the mirrored half first, then the row itself at the
 // head of the next run — and the runs between are copied column-wise.
-func (p *Preprocessor) AddBatch(b *alert.Batch) {
+func (p *Preprocessor) AddBatch(b *alert.Batch) bool {
 	n := b.Len()
 	p.stats.In += n
+	fresh := false
 	lo := 0
 	for i := 0; i < n; i++ {
 		if b.CircuitSet[i] != "" && b.Location[i].IsDevice() && b.Peer[i].IsDevice() &&
 			b.Peer[i] != b.Location[i] {
-			p.appendRun(b, lo, i, false)
-			p.appendRun(b, i, i+1, true)
+			fresh = p.appendRun(b, lo, i, false) || fresh
+			fresh = p.appendRun(b, i, i+1, true) || fresh
 			lo = i
 		}
 	}
-	p.appendRun(b, lo, n, false)
+	return p.appendRun(b, lo, n, false) || fresh
 }
 
 // appendRun copies rows [lo, hi) of b onto the pending columns — with
 // the endpoints swapped when the run is the mirrored half of a link
-// alert — and has the lineage recorder, if any, number the new rows.
+// alert — interns their IDs, and has the lineage recorder, if any,
+// number the new rows. It reports whether any of them is new evidence.
 // Whenever the pending columns reach maxPending they are absorbed, here
 // and not in a tick: on the zero Scope, because the tick's is stale and
 // its labeler belongs to the ticking goroutine.
-func (p *Preprocessor) appendRun(b *alert.Batch, lo, hi int, mirrored bool) {
+func (p *Preprocessor) appendRun(b *alert.Batch, lo, hi int, mirrored bool) bool {
+	fresh := false
 	for lo < hi {
 		at := p.pending.Len()
 		cut := min(hi, lo+maxPending-at)
@@ -380,17 +391,73 @@ func (p *Preprocessor) appendRun(b *alert.Batch, lo, hi int, mirrored bool) {
 		if mirrored {
 			p.pending.Location[at], p.pending.Peer[at] = p.pending.Peer[at], p.pending.Location[at]
 		}
+		fresh = p.internRows(at, p.pending.Len()) || fresh
 		p.pendingLin = p.prov.IngestRange(p.pendingLin, &p.pending, at, p.pending.Len(), mirrored)
 		if p.pending.Len() == maxPending {
 			p.absorb(span.Scope{})
 		}
 		lo = cut
 	}
+	return fresh
+}
+
+// internRows resolves the dense-ID columns of pending rows [lo, hi) —
+// the single-writer intern tables are only ever touched here and in
+// absorb's serial pass, both outside any parallel phase — and reports
+// whether any row is new evidence. A raw syslog row is typed only after
+// phase A classifies it, so its TID stays NoID until absorb.
+func (p *Preprocessor) internRows(lo, hi int) bool {
+	b := &p.pending
+	fresh := false
+	for i := lo; i < hi; i++ {
+		pid := p.pt.Intern(b.Location[i])
+		b.PID[i] = int32(pid)
+		if p.pt.Len() > len(p.routeOf) {
+			p.growTables()
+		}
+		b.CS[i] = 0
+		if cs := b.CircuitSet[i]; cs != "" {
+			id, ok := p.csIDs[cs]
+			if !ok {
+				id = int32(len(p.csIDs)) + 1
+				p.csIDs[cs] = id
+			}
+			b.CS[i] = id
+		}
+		if b.Source[i] == alert.SourceSyslog && b.Type[i] == "" {
+			b.TID[i] = alert.NoID
+			fresh = fresh || p.streams(pid) == nil
+			continue
+		}
+		tid := p.tt.Intern(alert.TypeKey{Source: b.Source[i], Type: b.Type[i]})
+		b.TID[i] = int32(tid)
+		if !fresh {
+			fresh = true
+			for g := p.streams(pid); g != nil; g = g.chain {
+				if g.key.tid == tid && g.key.cs == b.CS[i] {
+					fresh = false
+					break
+				}
+			}
+		}
+	}
+	return fresh
+}
+
+// streams heads the chain of live aggregates at location pid (nil when
+// there are none) in the shard that owns it.
+func (p *Preprocessor) streams(pid intern.PathID) *aggregate {
+	byPid := p.shards[p.routeOf[pid]].byPid
+	if int(pid) >= len(byPid) {
+		return nil
+	}
+	return byPid[pid]
 }
 
 // absorb ingests the pending batch into the aggregate shards: phase A
 // classifies and normalizes every alert in parallel, a serial pass
-// interns IDs and collects corroboration evidence, and phase B
+// types the rows phase A classified and collects corroboration
+// evidence, and phase B
 // consolidates each shard's alerts in arrival order under a single
 // owner. The two fan-outs are stages forked through sc.
 func (p *Preprocessor) absorb(sc span.Scope) {
@@ -425,8 +492,8 @@ func (p *Preprocessor) absorb(sc span.Scope) {
 			p.prepareRow(i, &p.prep[i], scratch)
 		}
 	})
-	// Serial pass: intern IDs into the batch's dense-ID columns
-	// (single-writer tables), route to shards, record corroboration
+	// Serial pass: type the rows phase A classified (the rest were
+	// interned at append), route to shards, record corroboration
 	// evidence (max observation time per location), resolve phase-A
 	// provenance, and merge drop counters.
 	b := &p.pending
@@ -438,20 +505,9 @@ func (p *Preprocessor) absorb(sc span.Scope) {
 			}
 			continue
 		}
-		pid := p.pt.Intern(b.Location[i])
-		b.PID[i] = int32(pid)
-		b.TID[i] = int32(p.tt.Intern(alert.TypeKey{Source: b.Source[i], Type: b.Type[i]}))
-		b.CS[i] = 0
-		if cs := b.CircuitSet[i]; cs != "" {
-			id, ok := p.csIDs[cs]
-			if !ok {
-				id = int32(len(p.csIDs)) + 1
-				p.csIDs[cs] = id
-			}
-			b.CS[i] = id
-		}
-		if p.pt.Len() > len(p.routeOf) {
-			p.growTables()
+		pid := intern.PathID(b.PID[i])
+		if it.classified {
+			b.TID[i] = int32(p.tt.Intern(alert.TypeKey{Source: b.Source[i], Type: b.Type[i]}))
 		}
 		it.shard = p.routeOf[pid]
 		if b.Class[i] == alert.ClassFailure || b.Class[i] == alert.ClassRootCause {

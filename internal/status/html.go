@@ -81,7 +81,7 @@ func (s *Snapshotter) indexHandler(w http.ResponseWriter, r *http.Request) {
 		Stats: StatsView{
 			RawIngested:     s.engine.RawIngested(),
 			Structured:      s.engine.PreprocessStats().Out,
-			ActiveIncidents: len(s.engine.Active()),
+			ActiveIncidents: s.engine.ActiveCount(),
 			ClosedIncidents: s.engine.ClosedCount(),
 		},
 		Now: time.Now().Format(time.TimeOnly),

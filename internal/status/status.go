@@ -238,7 +238,7 @@ func (s *Snapshotter) Handler() http.Handler {
 		view := StatsView{
 			RawIngested:     s.engine.RawIngested(),
 			Structured:      s.engine.PreprocessStats().Out,
-			ActiveIncidents: len(s.engine.Active()),
+			ActiveIncidents: s.engine.ActiveCount(),
 			ClosedIncidents: s.engine.ClosedCount(),
 		}
 		s.mu.Unlock()
